@@ -1,18 +1,35 @@
 """Loschmidt echo series: free decay, bang-bang pulsed, and effective theory.
 
-The echo of the bath against the two qubit branches is evaluated through
-the determinant formula of the freefermion module. Time t under a pulse
-train with interval dt decomposes as t = 2 M dt + t_res; the propagator
-string is, with F = e^{+iC_down dt} e^{+iC_up dt} and B = conj(F),
+Every echo point is one determinant of the freefermion module taken over
+the occupied subspace, |det(W^T S W)| for the propagator string S, with
+W the N filled modes of the up branch. The module works in the up-branch
+eigenbasis, where W picks the first N modes and the down branch enters
+through K = V_up^T V_down, formed once per spec. Each route writes its
+N x N matrix as L diag(phases) R, L of size N x 2N and R of size 2N x N:
+
+    free:       L = K[:N],       phases e^{-iE_down t},  R = L^T
+    effective:  L = W^T V_eff,   phases e^{+iE_eff t},   R = L^H
+
+Time t under a pulse train with interval dt decomposes as t = 2 M dt + t_res;
+the propagator string is, with F = e^{+iC_down dt} e^{+iC_up dt} and
+B = conj(F),
 
     t_res <  dt:  F^M  e^{+iC_down t_res} e^{-iC_up t_res}  B^M
     t_res >= dt:  F^M  e^{+iC_down dt} e^{+iC_up s} e^{-iC_down s}
                        e^{-iC_up dt}  B^M,      s = t_res - dt,
 
 which is continuous at the branch boundary and reduces to the free string
-for M = 0, t < dt. The M-fold repetition reuses one running cycle product
-along an ascending grid, so a series over M_max cycles costs O(M_max)
-matrix products; B^M is the elementwise conjugate of F^M (both C real).
+for M = 0, t < dt. In the up eigenbasis one cycle is
+F~ = K D_down(dt) K^T D_up(dt), D(x) = diag(e^{iEx}), formed once per dt.
+Only the occupied rows X = F~^M[:N] are carried along an ascending grid,
+one N x 2N by 2N x 2N product per cycle: F~^T = D_up F~ D_up^{-1}, so the
+occupied columns of B^M are D_up X^H up to column phases that drop out
+of |det|. Both residual strings then read
+
+    L = Z D_up(sigma - dt) K,   phases e^{-iE_down sigma},   R = (X K)^H,
+
+with Z = X, sigma = t_res in the first branch and Z = X F~,
+sigma = t_res - dt in the second.
 
 For fast pulsing the echo is predicted by the effective generator
 C_eff = i (dt/2) [C_down, C_up], whose entries do not depend on the
@@ -66,80 +83,91 @@ class EchoSeries:
 
 
 class _BranchData:
-    """Spectral data of both branches plus the ground-state projector."""
+    """Both branch spectra in the up-branch eigenbasis.
+
+    The occupied modes are the first N up modes, so k[:N] = W^T V_down.
+    Raises DegenerateFillingError when the filled sea is ambiguous.
+    """
 
     def __init__(self, spec: ChainSpec):
+        up = freefermion.diagonalize(freefermion.build_bdg(spec, "up"))
+        down = freefermion.diagonalize(freefermion.build_bdg(spec, "down"))
         self.spec = spec
-        self.up = freefermion.diagonalize(freefermion.build_bdg(spec, "up"))
-        self.down = freefermion.diagonalize(freefermion.build_bdg(spec, "down"))
-        self.r = freefermion.ground_correlation(self.up)
-
-    def u_up(self, t: float, sign: int) -> np.ndarray:
-        return freefermion.propagator(self.up, t, sign).U
-
-    def u_down(self, t: float, sign: int) -> np.ndarray:
-        return freefermion.propagator(self.down, t, sign).U
+        self.occupied = freefermion.occupied_modes(up)
+        self.e_up, self.e_down = up.eigenvalues, down.eigenvalues
+        self.k = up.eigenvectors.T @ down.eigenvectors
 
 
-def _le_point(r, string: np.ndarray, t: float, kind: str) -> EchoPoint:
-    value, log_abs = freefermion.gaussian_overlap(r, [string])
-    le = value ** DET_EXPONENT
-    return EchoPoint(t=float(t), le=le, log_le=DET_EXPONENT * log_abs, kind=kind)
+def _log_det(left: np.ndarray, phases: np.ndarray, right: np.ndarray) -> float:
+    """log|det(left diag(phases) right)|, the determinant of every echo point."""
+    return float(np.linalg.slogdet((left * phases) @ right)[1])
 
 
-def _free_series(data: _BranchData, ts: np.ndarray) -> list[EchoPoint]:
+def _series(spec: ChainSpec, schedule: Optional[PulseSchedule], ts: np.ndarray,
+            log_dets: Sequence[float], kind: str) -> EchoSeries:
+    """Echo points from log|det|; t = 0 is exactly one on every route."""
     points = []
-    for t in ts:
-        string = data.u_up(t, +1) @ data.u_down(t, -1)
-        points.append(_le_point(data.r, string, t, "free"))
-    return points
+    for t, log_abs in zip(ts, log_dets):
+        if t == 0.0:
+            log_abs = 0.0
+        value = math.exp(log_abs) if log_abs > -745.0 else 0.0
+        points.append(EchoPoint(t=float(t), le=value ** DET_EXPONENT,
+                                log_le=DET_EXPONENT * log_abs, kind=kind))
+    return EchoSeries(spec=spec, schedule=schedule, points=tuple(points))
 
 
-def _pulsed_mid(data: _BranchData, dt: float, t_res: float,
-                force_branch: Optional[int] = None) -> np.ndarray:
-    """Mid-string between the cycle blocks; force_branch picks the formula."""
-    branch = force_branch if force_branch is not None else (1 if t_res < dt else 2)
-    if branch == 1:
-        return data.u_down(t_res, +1) @ data.u_up(t_res, -1)
-    s = t_res - dt
-    return (data.u_down(dt, +1) @ data.u_up(s, +1)
-            @ data.u_down(s, -1) @ data.u_up(dt, -1))
+def _free_log_dets(data: _BranchData, ts: np.ndarray) -> list[float]:
+    """log|det| of the free string e^{+iC_up t} e^{-iC_down t} at each time."""
+    k_occ = data.k[:data.spec.N]
+    return [_log_det(k_occ, np.exp(-1j * data.e_down * t), k_occ.T) for t in ts]
 
 
-def _pulsed_series(data: _BranchData, schedule: PulseSchedule,
-                   ts: np.ndarray) -> list[EchoPoint]:
-    dt = schedule.delta_t
+def _cycle(data: _BranchData, dt: float) -> np.ndarray:
+    """One pulse cycle F~ = K D_down(dt) K^T D_up(dt) in the up eigenbasis."""
+    return ((data.k * np.exp(1j * data.e_down * dt))
+            @ (data.k.T * np.exp(1j * data.e_up * dt)))
+
+
+def _residual_log_det(data: _BranchData, cycle: np.ndarray, rows: np.ndarray,
+                      dt: float, t_res: float, branch: int) -> float:
+    """log|det| of F^M mid B^M with rows = F~^M[:N]; branch picks the mid formula."""
+    z, sigma = (rows, t_res) if branch == 1 else (rows @ cycle, t_res - dt)
+    left = (z * np.exp(1j * data.e_up * (sigma - dt))) @ data.k
+    return _log_det(left, np.exp(-1j * data.e_down * sigma), (rows @ data.k).conj().T)
+
+
+def _pulsed_log_dets(data: _BranchData, dt: float, ts: np.ndarray) -> list[float]:
+    """log|det| of the pulsed string at ascending times; rows advance per cycle."""
     if np.any(np.diff(ts) < 0):
         raise SpecError("pulsed series needs ascending times")
-    dim = 2 * data.spec.N
-    fwd = data.u_down(dt, +1) @ data.u_up(dt, +1)
-    p = np.eye(dim, dtype=complex)
+    n = data.spec.N
+    cycle = _cycle(data, dt)
+    rows = np.eye(n, 2 * n, dtype=complex)
     m_cur = 0
-    points = []
+    log_dets = []
     for t in ts:
         m = int(math.floor(t / (2.0 * dt) + 1e-12))
         while m_cur < m:
-            p = p @ fwd
+            rows = rows @ cycle
             m_cur += 1
-        mid = _pulsed_mid(data, dt, t - 2.0 * m * dt)
-        string = p @ mid @ p.conj()
-        points.append(_le_point(data.r, string, t, "pulsed"))
-    return points
+        t_res = t - 2.0 * m * dt
+        log_dets.append(_residual_log_det(data, cycle, rows, dt, t_res,
+                                          1 if t_res < dt else 2))
+    return log_dets
 
 
 def loschmidt_free(spec: ChainSpec, grid: TimeGrid) -> EchoSeries:
     """Echo without control: |<G| e^{+iC_up t} e^{-iC_down t} ...>| determinant."""
-    data = _BranchData(spec)
-    points = _free_series(data, grid.times())
-    return EchoSeries(spec=spec, schedule=None, points=tuple(points))
+    ts = grid.times()
+    return _series(spec, None, ts, _free_log_dets(_BranchData(spec), ts), "free")
 
 
 def loschmidt_pulsed(spec: ChainSpec, schedule: PulseSchedule,
                      grid: TimeGrid) -> EchoSeries:
     """Echo under the ideal-kick pulse train."""
-    data = _BranchData(spec)
-    points = _pulsed_series(data, schedule, grid.times(schedule))
-    return EchoSeries(spec=spec, schedule=schedule, points=tuple(points))
+    ts = grid.times(schedule)
+    log_dets = _pulsed_log_dets(_BranchData(spec), schedule.delta_t, ts)
+    return _series(spec, schedule, ts, log_dets, "pulsed")
 
 
 @dataclass(frozen=True)
@@ -173,18 +201,12 @@ def loschmidt_effective(spec: ChainSpec, schedule: PulseSchedule,
     """
     if grid.mode != "cycles":
         raise SpecError("loschmidt_effective needs a cycle-aligned grid")
-    data = _BranchData(spec)
     gen = effective_bdg(spec, schedule)
     evals, vecs = np.linalg.eigh(gen.C)
-    dim = 2 * spec.N
-    points = []
-    for t in grid.times(schedule):
-        if t == 0.0:
-            u = np.eye(dim, dtype=complex)
-        else:
-            u = (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
-        points.append(_le_point(data.r, u, t, "effective"))
-    return EchoSeries(spec=spec, schedule=schedule, points=tuple(points))
+    left = _BranchData(spec).occupied.T @ vecs
+    ts = grid.times(schedule)
+    log_dets = [_log_det(left, np.exp(1j * evals * t), left.conj().T) for t in ts]
+    return _series(spec, schedule, ts, log_dets, "effective")
 
 
 def coherence_offdiagonal(qubit: QubitSpec, d_complex: complex, t: float) -> complex:
@@ -250,15 +272,14 @@ def sweep(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
 
     def pulsed_avg(data: _BranchData, dt: float) -> float:
         sched = PulseSchedule(delta_t=dt, kick_sign=kick)
-        series = EchoSeries(data.spec, sched,
-                            tuple(_pulsed_series(data, sched, ts)))
+        series = _series(data.spec, sched, ts, _pulsed_log_dets(data, dt, ts), "pulsed")
         return time_average(series, t_star, half_width)
 
     rows: list[SweepRow] = []
     for lam in lambdas:
         spec_l = replace(spec, lam=lam)
         data = _BranchData(spec_l)
-        free = EchoSeries(spec_l, None, tuple(_free_series(data, ts)))
+        free = _series(spec_l, None, ts, _free_log_dets(data, ts), "free")
         le_free = time_average(free, t_star, half_width)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

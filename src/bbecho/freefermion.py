@@ -21,20 +21,23 @@ only claimed for even N; odd antiperiodic chains also host an exact zero
 mode at lam = 1 (the self-paired momentum pi), which trips the
 degenerate-filling guard there by design.
 
-Overlaps of evolved Gaussian states reduce to 2N x 2N determinants,
+Overlaps of evolved Gaussian states reduce to determinants,
 
-    |<G| e^{-iH_1 t} ... e^{-iH_n t} |G>|^2 = |det(1 - r + r U_1 ... U_n)|,
+    |<G| e^{-iH_1 t} ... e^{-iH_n t} |G>|^2 = |det(1 - r + r S)| = |det(W^T S W)|,
 
-with r the ground-state two-point matrix of the unperturbed branch and
-U_k = e^{-i C_k t}. Over the doubled space the determinant magnitude is
-the squared overlap itself (calibrated against exact diagonalization,
-see the conventions module). Determinants are accumulated in log
-magnitude, so echoes that decay below double-precision range stay
-representable through their logarithm.
+with S = U_1 ... U_n, U_k = e^{-i C_k t}, and r = W W^T the ground-state
+two-point matrix of the unperturbed branch, W its N occupied modes
+(``occupied_modes``). Because r projects onto those modes, the 2N x 2N
+determinant equals the N x N determinant over the occupied subspace.
+Over the doubled space the determinant magnitude is the squared overlap
+itself (calibrated against exact diagonalization, see the conventions
+module). Determinants are accumulated in log magnitude, so echoes that
+decay below double-precision range stay representable through their
+logarithm.
 
-Every C is diagonalized once per spec and its spectral data reused over
-the whole time grid; propagators are assembled by phase multiplication
-in the eigenbasis.
+``propagator`` and ``gaussian_overlap`` evaluate the 2N x 2N form
+directly and serve as the reference; the echo module evaluates the
+N x N form in the eigenbasis of the unperturbed branch.
 """
 
 from __future__ import annotations
@@ -131,8 +134,8 @@ def ground_energy(d: SpectralDecomp) -> float:
     return 0.5 * float(np.sum(d.eigenvalues[:n]))
 
 
-def ground_correlation(d: SpectralDecomp) -> CorrelationMatrix:
-    """Two-point matrix of the ground state: occupy the N lowest modes.
+def occupied_modes(d: SpectralDecomp) -> np.ndarray:
+    """The filled sea: the N lowest eigenvectors, as 2N x N columns W.
 
     Raises DegenerateFillingError when the spectrum is degenerate across
     the filling boundary; silently picking a sea would change the echo
@@ -145,7 +148,12 @@ def ground_correlation(d: SpectralDecomp) -> CorrelationMatrix:
             f"filling boundary degenerate: e[{n}]={e[n - 1]!r}, "
             f"e[{n + 1}]={e[n]!r} (1-based)"
         )
-    w_occ = d.eigenvectors[:, :n]
+    return d.eigenvectors[:, :n]
+
+
+def ground_correlation(d: SpectralDecomp) -> CorrelationMatrix:
+    """Two-point matrix of the ground state r = W W^T over the occupied modes."""
+    w_occ = occupied_modes(d)
     r = w_occ @ w_occ.T
     r = 0.5 * (r + r.T)
     return CorrelationMatrix(r=r)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import freefermion
+from . import echo, freefermion
 from .model import ChainSpec, PulseSchedule, SpecError
 
 _N_MAX = 14
@@ -206,20 +206,6 @@ class CalibrationResult:
     residuals: dict
 
 
-def _det_le_free(spec: ChainSpec, ts: np.ndarray, det_exponent: int) -> np.ndarray:
-    """Determinant-path free echo, bypassing any frozen convention."""
-    du = freefermion.diagonalize(freefermion.build_bdg(spec, "up"))
-    dd = freefermion.diagonalize(freefermion.build_bdg(spec, "down"))
-    r = freefermion.ground_correlation(du)
-    out = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        value, _ = freefermion.gaussian_overlap(
-            r, [freefermion.propagator(du, t, +1), freefermion.propagator(dd, t, -1)]
-        )
-        out[i] = value ** det_exponent
-    return out
-
-
 def calibrate_conventions(specs: Sequence[ChainSpec],
                           ts: np.ndarray | None = None,
                           tol: float = 1e-8) -> CalibrationResult:
@@ -251,12 +237,13 @@ def calibrate_conventions(specs: Sequence[ChainSpec],
         for spec in specs:
             candidate = replace(spec, boundary_sign=bs)
             try:
-                det = _det_le_free(candidate, ts, p)
+                log_dets = echo._free_log_dets(echo._BranchData(candidate), ts)
             except freefermion.DegenerateFillingError:
                 # a sector with zero modes cannot even define its filled
                 # sea on this suite; the candidate is out
                 worst = math.inf
                 break
+            det = np.exp(p * np.asarray(log_dets))
             worst = max(worst, float(np.max(np.abs(det - oracle_le[spec]))))
         residuals[(bs, p)] = worst
         if worst <= tol:

@@ -235,10 +235,9 @@ def test_10_invariant_fuzzer():
             assert np.all(series.le <= 1.0 + 1e-9)
 
         data = echo._BranchData(spec)
-        le1, _ = echo.freefermion.gaussian_overlap(
-            data.r, [echo._pulsed_mid(data, dt, dt, force_branch=1)])
-        le2, _ = echo.freefermion.gaussian_overlap(
-            data.r, [echo._pulsed_mid(data, dt, dt, force_branch=2)])
+        cycle, rows = echo._cycle(data, dt), np.eye(n, 2 * n)
+        le1 = np.exp(echo._residual_log_det(data, cycle, rows, dt, dt, 1))
+        le2 = np.exp(echo._residual_log_det(data, cycle, rows, dt, dt, 2))
         assert abs(le1 - le2) <= 1e-9
 
         from dataclasses import replace

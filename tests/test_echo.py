@@ -5,7 +5,8 @@ from bbecho import echo, oracle
 from bbecho.echo import (EchoPoint, EchoSeries, coherence_offdiagonal,
                          effective_bdg, loschmidt_effective, loschmidt_free,
                          loschmidt_pulsed, sweep, time_average)
-from bbecho.freefermion import build_bdg, diagonalize, gaussian_overlap
+from bbecho.freefermion import (SpectralDecomp, build_bdg, diagonalize,
+                                gaussian_overlap, ground_correlation, propagator)
 from bbecho.model import ChainSpec, PulseSchedule, QubitSpec, SpecError, TimeGrid
 from bbecho.spinstar import effective_coupling
 
@@ -42,7 +43,6 @@ class TestLoschmidtFree:
 
         du = diagonalize(build_bdg(ChainSpec(N=n, lam=lam, epsilon=0.0, links=(1,)), "up"))
         dd = diagonalize(build_bdg(ChainSpec(N=n, lam=lam + eps, epsilon=0.0, links=(1,)), "up"))
-        from bbecho.freefermion import ground_correlation, propagator
         r = ground_correlation(du)
         for i, t in enumerate(grid.times()):
             value, _ = gaussian_overlap(
@@ -77,10 +77,9 @@ class TestLoschmidtPulsed:
     def test_branch_formulas_agree_at_boundary(self):
         data = echo._BranchData(_spec(N=6))
         dt = 0.4
-        mid1 = echo._pulsed_mid(data, dt, dt, force_branch=1)
-        mid2 = echo._pulsed_mid(data, dt, dt, force_branch=2)
-        le1, _ = gaussian_overlap(data.r, [mid1])
-        le2, _ = gaussian_overlap(data.r, [mid2])
+        cycle, rows = echo._cycle(data, dt), np.eye(6, 12)
+        le1 = np.exp(echo._residual_log_det(data, cycle, rows, dt, dt, 1))
+        le2 = np.exp(echo._residual_log_det(data, cycle, rows, dt, dt, 2))
         assert abs(le1 - le2) <= 1e-9
 
     def test_continuous_across_cycle_boundary(self):
@@ -88,10 +87,55 @@ class TestLoschmidtPulsed:
         schedule = PulseSchedule(delta_t=0.5)
         eps_t = 1e-7
         grid_times = np.array([0.0, 1.5 - eps_t, 1.5, 1.5 + eps_t])
-        data = echo._BranchData(spec)
-        pts = echo._pulsed_series(data, schedule, grid_times)
+        log_dets = echo._pulsed_log_dets(echo._BranchData(spec), schedule.delta_t,
+                                         grid_times)
+        pts = echo._series(spec, schedule, grid_times, log_dets, "pulsed").points
         assert abs(pts[1].le - pts[2].le) <= 1e-5
         assert abs(pts[3].le - pts[2].le) <= 1e-5
+
+
+class TestOccupiedSubspaceKernel:
+    """The N x N kernel against the 2N x 2N reference strings at N = 100."""
+
+    def test_matches_reference_strings(self):
+        spec = ChainSpec(N=100, lam=1.0, epsilon=0.25, links=(1,))
+        grid = TimeGrid(t_max=50.0, n_points=51)
+        up = diagonalize(build_bdg(spec, "up"))
+        down = diagonalize(build_bdg(spec, "down"))
+        r = ground_correlation(up)
+
+        def u(d, s, sign):
+            return propagator(d, s, sign).U
+
+        def pulsed_string(dt, t):
+            m = int(np.floor(t / (2.0 * dt) + 1e-12))
+            t_res = t - 2.0 * m * dt
+            fwd = np.linalg.matrix_power(u(down, dt, +1) @ u(up, dt, +1), m)
+            if t_res < dt:
+                mid = [u(down, t_res, +1), u(up, t_res, -1)]
+            else:
+                s = t_res - dt
+                mid = [u(down, dt, +1), u(up, s, +1), u(down, s, -1), u(up, dt, -1)]
+            return [fwd, *mid, fwd.conj()]
+
+        routes = [(loschmidt_free(spec, grid),
+                   lambda t: [u(up, t, +1), u(down, t, -1)])]
+        # dt = 0.1 runs 250 cycles; dt = 0.7 hits both residual branches
+        for dt in (0.1, 0.7):
+            routes.append((loschmidt_pulsed(spec, PulseSchedule(delta_t=dt), grid),
+                           lambda t, dt=dt: pulsed_string(dt, t)))
+        schedule = PulseSchedule(delta_t=0.5)
+        gen = effective_bdg(spec, schedule)
+        eff = SpectralDecomp(*np.linalg.eigh(gen.C))
+        routes.append((loschmidt_effective(spec, schedule,
+                                           TimeGrid(t_max=50.0, mode="cycles")),
+                       lambda t: [u(eff, t, +1)]))
+        for series, string in routes:
+            assert len(series.points) == 51 and series.points[0].le == 1.0
+            for p in series.points:
+                value, log_value = gaussian_overlap(r, string(p.t))
+                assert abs(p.le - value) <= 1e-10
+                assert abs(p.log_le - log_value) <= 1e-10
 
 
 class TestEffectiveGenerator:

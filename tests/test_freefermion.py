@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from bbecho import oracle
+from bbecho.echo import loschmidt_free, loschmidt_pulsed
 from bbecho.freefermion import (BdGMatrix, DegenerateFillingError, build_bdg,
                                 diagonalize, gaussian_overlap,
                                 ground_correlation, ground_energy, propagator)
-from bbecho.model import ChainSpec, SpecError
+from bbecho.model import ChainSpec, PulseSchedule, SpecError, TimeGrid
 
 
 def _spec(N=6, lam=1.0, epsilon=0.25, links=(1,), **kw):
@@ -120,6 +121,11 @@ class TestGroundCorrelation:
         spec = ChainSpec(N=8, lam=1.0, epsilon=0.0, links=(1,), boundary_sign=+1)
         with pytest.raises(DegenerateFillingError):
             ground_correlation(diagonalize(build_bdg(spec, "up")))
+        grid = TimeGrid(t_max=5.0, n_points=11)
+        with pytest.raises(DegenerateFillingError):
+            loschmidt_free(spec, grid)
+        with pytest.raises(DegenerateFillingError):
+            loschmidt_pulsed(spec, PulseSchedule(delta_t=0.5), grid)
 
     def test_filled_sea_energy_matches_oracle(self):
         spec = _spec(N=8, lam=1.0, epsilon=0.0)
