@@ -253,12 +253,12 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     config = preset(args.name)
     if args.out:
         config.out = args.out
-    if args.threads:
+    if args.threads is not None:
         config.threads = args.threads
     if args.format:
         config.fmt = args.format
     config.recalibrate = args.recalibrate
-    return _execute(config)
+    return _execute(config.validated())
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

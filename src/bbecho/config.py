@@ -155,7 +155,8 @@ def build_run_config(raw: dict[str, dict[str, str]]) -> RunConfig:
                 axes = _replace(axes, delta_ts=(config.schedule.delta_t,))
             config.axes = axes
         return config.validated()
-    except SpecError as exc:
+    except ValueError as exc:
+        # SpecError, and a number or complex value that does not parse
         raise ConfigError(str(exc)) from None
 
 

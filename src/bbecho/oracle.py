@@ -1,11 +1,12 @@
 """Brute-force exact diagonalization at small N: ground truth for everything.
 
-Dense 2^N Hamiltonians built from Pauli tensor products (periodic chain,
-site N+1 == site 1), full spectra, exact echo amplitudes for free and
-pulsed evolution, and the convention calibration that pins the
-free-fermion path. This is deliberately unsophisticated: no symmetry
-sectors, no sparsity, just eigh on the full matrix, which is exactly why
-it can arbitrate conventions. Guarded to N <= 14.
+Dense 2^N Hamiltonians filled by bit arithmetic on the sigma^z basis
+(periodic chain, site N+1 == site 1), full spectra, exact echo
+amplitudes for free and pulsed evolution, and the convention
+calibration that pins the free-fermion path. This is deliberately
+unsophisticated: no symmetry sectors, no sparsity, just eigh on the full
+matrix, which is exactly why it can arbitrate conventions. Guarded to
+N <= 14.
 
 This is also the only source of the complex amplitude D(t); the
 determinant path yields its magnitude squared only.
@@ -24,9 +25,6 @@ from . import echo, freefermion
 from .model import ChainSpec, PulseSchedule, SpecError
 
 _N_MAX = 14
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 class OracleSizeError(SpecError):
@@ -60,22 +58,10 @@ def _check_size(spec: ChainSpec) -> None:
         )
 
 
-def _site_z(j: int, N: int) -> np.ndarray:
-    """sigma^z on 1-based site j as a dense 2^N matrix."""
-    left = 2 ** (j - 1)
-    right = 2 ** (N - j)
-    return np.kron(np.kron(np.eye(left), _SZ), np.eye(right))
-
-
-def _bond_xx(i: int, j: int, N: int) -> np.ndarray:
-    """sigma^x_i sigma^x_j (1-based, i != j)."""
-    ops = [np.eye(2)] * N
-    ops[i - 1] = _SX
-    ops[j - 1] = _SX
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
+def _spins(N: int) -> np.ndarray:
+    """sigma^z eigenvalues, shape (2^N, N): site 1 is the top bit, bit 0 = up."""
+    bits = np.arange(2 ** N)[:, None] >> np.arange(N - 1, -1, -1)
+    return 1.0 - 2.0 * (bits & 1)
 
 
 def build_hamiltonian(spec: ChainSpec, branch: str) -> DenseOperator:
@@ -89,49 +75,53 @@ def build_hamiltonian(spec: ChainSpec, branch: str) -> DenseOperator:
     _check_size(spec)
     N, J = spec.N, spec.J
     dim = 2 ** N
-    h = np.zeros((dim, dim))
-    for j in range(1, N + 1):
-        jp = j % N + 1
-        h -= J * _bond_xx(j, jp, N)
-        h -= J * spec.lam * _site_z(j, N)
+    z = _spins(N)
+    # summed site by site, fields before links, so the diagonal is the
+    # same to the last bit as the sum of one-site operators
+    diag = np.zeros(dim)
+    for j in range(N):
+        diag -= J * spec.lam * z[:, j]
     if branch == "down":
         for j in spec.links:
-            h -= spec.epsilon * _site_z(j, N)
+            diag -= spec.epsilon * z[:, j - 1]
+    h = np.diag(diag)
+    rows = np.arange(dim)
+    for j in range(N):
+        # x_j x_{j+1} flips both bits; at N = 2 the two bonds coincide
+        mask = (1 << (N - 1 - j)) | (1 << (N - 1 - (j + 1) % N))
+        h[rows, rows ^ mask] -= J
     return DenseOperator(dim=dim, matrix=h)
+
+
+def _check_gap(evals: np.ndarray) -> None:
+    if evals.size > 1 and abs(evals[1] - evals[0]) < 1e-12:
+        raise DegenerateGroundStateError(
+            f"ground state degenerate: E0={evals[0]!r}, E1={evals[1]!r}"
+        )
 
 
 def ground_state(h: DenseOperator) -> GroundState:
     """Lowest eigenpair; raises if the ground level is degenerate."""
     evals, evecs = np.linalg.eigh(h.matrix)
-    if evals.size > 1 and abs(evals[1] - evals[0]) < 1e-12:
-        raise DegenerateGroundStateError(
-            f"ground state degenerate: E0={evals[0]!r}, E1={evals[1]!r}"
-        )
+    _check_gap(evals)
     return GroundState(energy=float(evals[0]), vector=evecs[:, 0].astype(complex))
 
 
 def ground_magnetization(spec: ChainSpec) -> np.ndarray:
     """<G| sigma^z_j |G> for j = 1..N in the bare-bath ground state."""
     g = ground_state(build_hamiltonian(spec, "up")).vector
-    out = np.empty(spec.N)
-    for j in range(1, spec.N + 1):
-        out[j - 1] = float(np.real(np.vdot(g, _site_z(j, spec.N) @ g)))
-    return out
+    return np.abs(g) ** 2 @ _spins(spec.N)
 
 
 class _Spectral:
     """Eigen-decomposed branch pair; decompose once, reuse over a grid."""
 
     def __init__(self, spec: ChainSpec):
-        _check_size(spec)
         hu = build_hamiltonian(spec, "up")
         hd = build_hamiltonian(spec, "down")
         self.eu, self.vu = np.linalg.eigh(hu.matrix)
         self.ed, self.vd = np.linalg.eigh(hd.matrix)
-        if abs(self.eu[1] - self.eu[0]) < 1e-12:
-            raise DegenerateGroundStateError(
-                f"ground state degenerate: E0={self.eu[0]!r}, E1={self.eu[1]!r}"
-            )
+        _check_gap(self.eu)
         self.g = self.vu[:, 0].astype(complex)
 
     def evolve(self, branch: str, t: float, state: np.ndarray) -> np.ndarray:

@@ -127,6 +127,14 @@ class TestPresets:
         assert header[0] == "lambda" and len(rows) == 2
         assert (tmp_path / "tiny.meta.json").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_preset_rejects_bad_threads(self, state_dir, tmp_path, capsys, threads):
+        out = tmp_path / "x.csv"
+        assert main(["preset", "fig1", "--out", str(out), "--threads", threads]) == 1
+        err = capsys.readouterr().err
+        assert "config error: threads must be >= 1" in err and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "x.meta.json").exists()
+
 
 class TestRunCommand:
     def test_decoupled_free_run_emits_unit_column(self, state_dir, tmp_path):
@@ -247,6 +255,17 @@ class TestRunCommand:
     def test_missing_spec_is_config_error(self, state_dir, capsys):
         assert main(["run", "--mode", "free"]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, bad", [
+        ("N = 8", "N = 4.5"),
+        ("mode = free", "mode = free\nthreads = two"),
+        ("[spec]", "[qubit]\nc_up = 1+\n\n[spec]"),
+    ], ids=["N", "threads", "c_up"])
+    def test_malformed_number_is_config_error(self, state_dir, tmp_path, capsys, key, bad):
+        ini = FREE_INI.format(out=tmp_path / "x.csv").replace(key, bad)
+        assert main(["run", "--config", str(_write_config(tmp_path, ini))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
 
     def test_degenerate_sector_is_numerical_error(self, state_dir, tmp_path, capsys):
         # periodic sector at criticality has a zero mode: exit 2

@@ -22,7 +22,44 @@ def _two_site_hand_matrix(lam: float) -> np.ndarray:
     ])
 
 
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SZ = np.diag([1.0, -1.0])
+
+
+def _pauli_product(ops: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """Tensor product over 1-based sites 1..n, identity where ops has no entry."""
+    out = np.eye(1)
+    for j in range(1, n + 1):
+        out = np.kron(out, ops.get(j, np.eye(2)))
+    return out
+
+
+def _kron_hamiltonian(spec: ChainSpec, branch: str) -> np.ndarray:
+    """Reference H summed term by term from Pauli tensor products."""
+    n, J = spec.N, spec.J
+    h = np.zeros((2 ** n, 2 ** n))
+    for j in range(1, n + 1):
+        h -= J * _pauli_product({j: _SX, j % n + 1: _SX}, n)
+        h -= J * spec.lam * _pauli_product({j: _SZ}, n)
+    if branch == "down":
+        for j in spec.links:
+            h -= spec.epsilon * _pauli_product({j: _SZ}, n)
+    return h
+
+
 class TestBuildHamiltonian:
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("coupling", ["single", "two", "star"])
+    def test_equals_pauli_kron_sum_exactly(self, n, coupling):
+        links = {"single": (1,), "two": (1, n // 2 + 1),
+                 "star": tuple(range(1, n + 1))}[coupling]
+        for J, lam, eps in ((1.0, 1.0, 0.25), (0.7, 1.3, -0.37), (1.9, 0.45, 0.21)):
+            spec = ChainSpec(N=n, lam=lam, epsilon=eps, links=links, J=J)
+            for branch in ("up", "down"):
+                np.testing.assert_array_equal(
+                    build_hamiltonian(spec, branch).matrix,
+                    _kron_hamiltonian(spec, branch))
+
     def test_two_site_toy_matches_hand_expansion(self):
         spec = ChainSpec(N=2, lam=0.0, epsilon=0.0, links=(1,))
         h = build_hamiltonian(spec, "up")
