@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, conventions, echo, oracle
 from .config import (ConfigError, RunConfig, build_run_config, config_as_dict,
-                     merge_overrides, preset, read_config_file)
+                     read_config_file, read_preset)
 from .freefermion import DegenerateFillingError
 from .model import ChainSpec, PulseSchedule, SpecError, TimeGrid
 from .oracle import CalibrationError, DegenerateGroundStateError
@@ -120,10 +120,8 @@ def _run_family(config: RunConfig) -> tuple[list[str], list[list]]:
         rows += [[lam, None, p.t, p.le, p.log_le, p.kind] for p in free.points]
         if config.mode == "pulsed":
             for dt in delta_ts:
-                sched = PulseSchedule(delta_t=dt,
-                                      kick_sign=config.schedule.kick_sign
-                                      if config.schedule else 1)
-                pulsed = echo.loschmidt_pulsed(spec_l, sched, config.grid)
+                pulsed = echo.loschmidt_pulsed(spec_l, PulseSchedule(delta_t=dt),
+                                               config.grid)
                 rows += [[lam, dt, p.t, p.le, p.log_le, p.kind]
                          for p in pulsed.points]
     return ["lambda", "delta_t", "t", "le", "log_le", "kind"], rows
@@ -137,7 +135,6 @@ def _run_sweep(config: RunConfig) -> tuple[list[str], list[list]]:
         delta_ts=axes.delta_ts,
         t_star=axes.t_star,
         half_width=axes.half_width,
-        schedule=config.schedule,
         window_points=axes.window_points,
         threads=config.threads,
     )
@@ -195,76 +192,54 @@ def _execute(config: RunConfig) -> int:
     return 0
 
 
-_FLAG_MAP = {
-    "mode": ("run", "mode"),
-    "out": ("run", "out"),
-    "format": ("run", "format"),
-    "threads": ("run", "threads"),
-    "N": ("spec", "N"),
-    "lam": ("spec", "lambda"),
-    "epsilon": ("spec", "epsilon"),
-    "links": ("spec", "links"),
-    "dt": ("schedule", "delta_t"),
-    "tmax": ("grid", "t_max"),
-    "points": ("grid", "points"),
-    "tstar": ("axes", "t_star"),
-    "halfwidth": ("axes", "half_width"),
+# Every flag is a plain string parsed by the config key it overrides.
+_FLAGS = {
+    "--mode": ("run", "mode"),
+    "--out": ("run", "out"),
+    "--format": ("run", "format"),
+    "--threads": ("run", "threads"),
+    "--N": ("spec", "N"),
+    "--lambda": ("spec", "lambda"),
+    "--epsilon": ("spec", "epsilon"),
+    "--links": ("spec", "links"),
+    "--dt": ("schedule", "delta_t"),
+    "--tmax": ("grid", "t_max"),
+    "--points": ("grid", "points"),
+    "--tstar": ("axes", "t_star"),
+    "--halfwidth": ("axes", "half_width"),
 }
 
 
-def _add_run_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="structured-text config file")
-    sub.add_argument("--mode", choices=["free", "pulsed", "effective",
-                                        "spinstar-analytic", "oracle-check", "sweep"])
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--lambda", dest="lam", type=float)
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--links", help='e.g. "1", "all", or "1,5,9"')
-    sub.add_argument("--dt", type=float, help="pulse interval")
-    sub.add_argument("--tmax", type=float)
-    sub.add_argument("--points", type=int)
-    sub.add_argument("--tstar", type=float)
-    sub.add_argument("--halfwidth", type=float)
-    sub.add_argument("--out", help="output data file")
-    sub.add_argument("--format", choices=["csv", "json"])
-    sub.add_argument("--threads", type=int)
+def _add_flags(sub: argparse.ArgumentParser, flags) -> None:
+    for flag in flags:
+        section, key = _FLAGS[flag]
+        sub.add_argument(flag, dest=flag, metavar=key, help=f"overrides [{section}] {key}")
     sub.add_argument("--recalibrate", action="store_true",
                      help="force a fresh convention calibration")
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict[tuple[str, str], str]:
-    overrides: dict[tuple[str, str], str] = {}
-    for flag, target in _FLAG_MAP.items():
+def _execute_raw(raw: dict[str, dict[str, str]], args: argparse.Namespace) -> int:
+    """Apply the flags given on the command line to raw config text and run it."""
+    for flag, (section, key) in _FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
-            overrides[target] = str(value)
-    return overrides
+            raw.setdefault(section, {})[key] = value
+    if args.recalibrate:
+        raw.setdefault("run", {})["recalibrate"] = "true"
+    return _execute(build_run_config(raw))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    raw = read_config_file(args.config) if args.config else {}
-    merge_overrides(raw, _overrides_from_args(args))
-    config = build_run_config(raw)
-    config.recalibrate = config.recalibrate or args.recalibrate
-    return _execute(config)
+    return _execute_raw(read_config_file(args.config) if args.config else {}, args)
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
-    config = preset(args.name)
-    if args.out:
-        config.out = args.out
-    if args.threads is not None:
-        config.threads = args.threads
-    if args.format:
-        config.fmt = args.format
-    config.recalibrate = args.recalibrate
-    return _execute(config.validated())
+    return _execute_raw(read_preset(args.name), args)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    config = RunConfig(mode="oracle-check", out=args.out,
-                       recalibrate=args.recalibrate).validated()
-    return _execute(config)
+    raw = {"run": {"mode": "oracle-check", "out": "oracle-check.csv"}}
+    return _execute_raw(raw, args)
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -287,20 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a configured computation")
-    _add_run_flags(run)
+    run.add_argument("--config", help="structured-text config file")
+    _add_flags(run, _FLAGS)
     run.set_defaults(func=_cmd_run)
 
     pre = sub.add_parser("preset", help="run a named figure preset")
     pre.add_argument("name", help="fig1 | fig2 | fig3 | fig4")
-    pre.add_argument("--out")
-    pre.add_argument("--threads", type=int)
-    pre.add_argument("--format", choices=["csv", "json"])
-    pre.add_argument("--recalibrate", action="store_true")
+    _add_flags(pre, ("--out", "--threads", "--format"))
     pre.set_defaults(func=_cmd_preset)
 
     chk = sub.add_parser("check", help="compare against the exact-diagonalization oracle")
-    chk.add_argument("--out", default="oracle-check.csv")
-    chk.add_argument("--recalibrate", action="store_true")
+    _add_flags(chk, ("--out",))
     chk.set_defaults(func=_cmd_check)
 
     cal = sub.add_parser("calibrate", help="derive and cache the numerical conventions")

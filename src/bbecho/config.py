@@ -1,36 +1,28 @@
 """Run configuration: structured-text config files, overrides, presets.
 
 A run is described by a flat key/value file with one section per
-sub-record ([run], [spec], [qubit], [schedule], [grid], [axes]); every
-field of the parameter records has a config key, unknown sections or
-keys are errors, and command-line flags override file keys. The fully
-resolved configuration is echoed into the JSON sidecar of every run so
-any output file can be reproduced from its sidecar alone.
+sub-record ([run], [spec], [schedule], [grid], [axes]). One table,
+``_KEYS``, maps every settable key to its record field and parser; config
+files, command-line flags and the figure presets all pass through it.
+Unknown sections or keys are errors, and a value that does not parse
+names its ``[section] key``. Command-line flags override file keys. The
+fully resolved configuration is echoed into the JSON sidecar of every run
+so any output file can be reproduced from its sidecar alone.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
-from .model import ChainSpec, PulseSchedule, QubitSpec, SpecError, TimeGrid
+from .model import ChainSpec, PulseSchedule, SpecError, TimeGrid
 
 MODES = ("free", "pulsed", "effective", "spinstar-analytic", "oracle-check", "sweep")
 
 
 class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
-
-
-_SECTIONS = {
-    "run": ("mode", "out", "format", "threads", "recalibrate"),
-    "spec": ("N", "J", "lambda", "epsilon", "links", "boundary_sign"),
-    "qubit": ("omega0", "c_up", "c_down"),
-    "schedule": ("delta_t", "kick_sign"),
-    "grid": ("t_max", "points", "mode"),
-    "axes": ("lambdas", "delta_ts", "t_star", "half_width", "window_points"),
-}
 
 
 @dataclass(frozen=True)
@@ -44,9 +36,8 @@ class SweepAxes:
 
 @dataclass
 class RunConfig:
-    mode: str
+    mode: str = "free"
     spec: Optional[ChainSpec] = None
-    qubit: Optional[QubitSpec] = None
     schedule: Optional[PulseSchedule] = None
     grid: Optional[TimeGrid] = None
     axes: Optional[SweepAxes] = None
@@ -84,21 +75,15 @@ class RunConfig:
         return self
 
 
-def _parse_links(text: str, n: int) -> tuple[int, ...]:
-    text = text.strip()
-    if text.lower() == "all":
-        return tuple(range(1, n + 1))
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse links {text!r}: {exc}") from None
+def _parse_links(text: str):
+    """'all' (resolved against N when the spec is built) or a comma list."""
+    if text.strip().lower() == "all":
+        return "all"
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse float list {text!r}: {exc}") from None
+    return tuple(float(part) for part in text.split(",") if part.strip())
 
 
 def _parse_bool(text: str) -> bool:
@@ -107,149 +92,114 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"cannot parse boolean {text!r}")
+    raise ValueError("expected true or false")
+
+
+# (section, key) -> (record field, parser). [run] keys are RunConfig fields;
+# every other section builds the record in _RECORDS.
+_KEYS = {
+    ("run", "mode"): ("mode", str),
+    ("run", "out"): ("out", str),
+    ("run", "format"): ("fmt", str),
+    ("run", "threads"): ("threads", int),
+    ("run", "recalibrate"): ("recalibrate", _parse_bool),
+    ("spec", "N"): ("N", int),
+    ("spec", "J"): ("J", float),
+    ("spec", "lambda"): ("lam", float),
+    ("spec", "epsilon"): ("epsilon", float),
+    ("spec", "links"): ("links", _parse_links),
+    ("schedule", "delta_t"): ("delta_t", float),
+    ("grid", "t_max"): ("t_max", float),
+    ("grid", "points"): ("n_points", int),
+    ("grid", "mode"): ("mode", str),
+    ("axes", "lambdas"): ("lambdas", _parse_floats),
+    ("axes", "delta_ts"): ("delta_ts", _parse_floats),
+    ("axes", "t_star"): ("t_star", float),
+    ("axes", "half_width"): ("half_width", float),
+    ("axes", "window_points"): ("window_points", int),
+}
+_RECORDS = {"spec": ChainSpec, "schedule": PulseSchedule, "grid": TimeGrid,
+            "axes": SweepAxes}
+
+
+def _read_ini(text: str, source: str) -> dict[str, dict[str, str]]:
+    """Raw section/key/value strings of INI text, rejecting unknowns."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # keys are case-sensitive (N vs n)
+    try:
+        parser.read_string(text, source)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config {source}: {exc}") from None
+    raw: dict[str, dict[str, str]] = {}
+    for section in parser.sections():
+        if section != "run" and section not in _RECORDS:
+            raise ConfigError(f"unknown config section [{section}]")
+        raw[section] = dict(parser.items(section))
+        for key in raw[section]:
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    return raw
 
 
 def read_config_file(path: str) -> dict[str, dict[str, str]]:
     """Parse the file into raw section/key/value strings, rejecting unknowns."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keys are case-sensitive (N vs n)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from None
-    raw: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
-        known = _SECTIONS[section]
-        raw[section] = {}
-        for key, value in parser.items(section):
-            if key not in known:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            raw[section][key] = value
-    return raw
+    return _read_ini(text, path)
 
 
-def merge_overrides(raw: dict[str, dict[str, str]],
-                    overrides: dict[tuple[str, str], str]) -> dict[str, dict[str, str]]:
-    for (section, key), value in overrides.items():
-        raw.setdefault(section, {})[key] = value
-    return raw
+def _section(section: str, values: dict[str, str]):
+    """RunConfig keyword arguments for [run], else the section's record."""
+    kwargs = {}
+    for key, text in values.items():
+        field, parse = _KEYS[section, key]
+        try:
+            kwargs[field] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from None
+    if section == "run":
+        return kwargs
+    record = _RECORDS[section]
+    required = {f.name for f in fields(record) if f.default is MISSING}
+    for (sec, key), (field, _) in _KEYS.items():
+        if sec == section and field in required and field not in kwargs:
+            raise ConfigError(f"[{section}] is missing key {key!r}")
+    if kwargs.get("links") == "all":
+        kwargs["links"] = tuple(range(1, kwargs["N"] + 1))
+    try:
+        return record(**kwargs)
+    except SpecError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def build_run_config(raw: dict[str, dict[str, str]]) -> RunConfig:
     """Typed RunConfig from raw strings; all domain validation applies."""
-    try:
-        config = _build(raw)
-        if config.mode == "sweep" and config.axes is not None:
-            # flag-driven sweeps: singleton axes fall back to --lambda / --dt
-            from dataclasses import replace as _replace
-            axes = config.axes
-            if axes.lambdas is None and config.spec is not None:
-                axes = _replace(axes, lambdas=(config.spec.lam,))
-            if axes.delta_ts is None and config.schedule is not None:
-                axes = _replace(axes, delta_ts=(config.schedule.delta_t,))
-            config.axes = axes
-        return config.validated()
-    except ValueError as exc:
-        # SpecError, and a number or complex value that does not parse
-        raise ConfigError(str(exc)) from None
-
-
-def _build(raw: dict[str, dict[str, str]]) -> RunConfig:
-    run = raw.get("run", {})
-    config = RunConfig(
-        mode=run.get("mode", "free"),
-        out=run.get("out", "bbecho-out.csv"),
-        fmt=run.get("format", "csv"),
-        threads=int(run.get("threads", "1")),
-        recalibrate=_parse_bool(run.get("recalibrate", "false")),
-    )
-    if "spec" in raw:
-        sec = raw["spec"]
-        for key in ("N", "lambda", "epsilon", "links"):
-            if key not in sec:
-                raise ConfigError(f"[spec] is missing key {key!r}")
-        n = int(sec["N"])
-        spec_kwargs = dict(
-            N=n,
-            lam=float(sec["lambda"]),
-            epsilon=float(sec["epsilon"]),
-            links=_parse_links(sec["links"], n),
-        )
-        if "J" in sec:
-            spec_kwargs["J"] = float(sec["J"])
-        if "boundary_sign" in sec:
-            spec_kwargs["boundary_sign"] = int(sec["boundary_sign"])
-        config.spec = ChainSpec(**spec_kwargs)
-    if "qubit" in raw:
-        sec = raw["qubit"]
-        config.qubit = QubitSpec(
-            omega0=float(sec.get("omega0", "0")),
-            c_up=complex(sec.get("c_up", "1")),
-            c_down=complex(sec.get("c_down", "0")),
-        )
-    if "schedule" in raw:
-        sec = raw["schedule"]
-        if "delta_t" not in sec:
-            raise ConfigError("[schedule] is missing key 'delta_t'")
-        config.schedule = PulseSchedule(
-            delta_t=float(sec["delta_t"]),
-            kick_sign=int(sec.get("kick_sign", "1")),
-        )
-    if "grid" in raw:
-        sec = raw["grid"]
-        if "t_max" not in sec:
-            raise ConfigError("[grid] is missing key 't_max'")
-        mode = sec.get("mode", "uniform")
-        points = int(sec["points"]) if "points" in sec else None
-        config.grid = TimeGrid(t_max=float(sec["t_max"]), n_points=points, mode=mode)
-    if "axes" in raw:
-        sec = raw["axes"]
-        config.axes = SweepAxes(
-            lambdas=_parse_floats(sec["lambdas"]) if "lambdas" in sec else None,
-            delta_ts=_parse_floats(sec["delta_ts"]) if "delta_ts" in sec else None,
-            t_star=float(sec["t_star"]) if "t_star" in sec else None,
-            half_width=float(sec["half_width"]) if "half_width" in sec else None,
-            window_points=int(sec.get("window_points", "101")),
-        )
-    return config
+    parts = {section: _section(section, values) for section, values in raw.items()}
+    config = RunConfig(**parts.pop("run", {}), **parts)
+    if config.mode == "sweep" and config.axes is not None:
+        # flag-driven sweeps: singleton axes fall back to --lambda / --dt
+        axes = config.axes
+        if axes.lambdas is None and config.spec is not None:
+            axes = replace(axes, lambdas=(config.spec.lam,))
+        if axes.delta_ts is None and config.schedule is not None:
+            axes = replace(axes, delta_ts=(config.schedule.delta_t,))
+        config.axes = axes
+    return config.validated()
 
 
 def config_as_dict(config: RunConfig) -> dict:
-    """JSON-ready snapshot of a resolved configuration."""
-    out: dict = {
-        "mode": config.mode,
-        "out": config.out,
-        "format": config.fmt,
-        "threads": config.threads,
-        "recalibrate": config.recalibrate,
-    }
-    if config.spec is not None:
-        s = config.spec
-        out["spec"] = {"N": s.N, "J": s.J, "lambda": s.lam, "epsilon": s.epsilon,
-                       "links": list(s.links), "boundary_sign": s.boundary_sign}
-    if config.qubit is not None:
-        q = config.qubit
-        out["qubit"] = {"omega0": q.omega0,
-                        "c_up": [q.c_up.real, q.c_up.imag],
-                        "c_down": [q.c_down.real, q.c_down.imag]}
-    if config.schedule is not None:
-        out["schedule"] = {"delta_t": config.schedule.delta_t,
-                           "kick_sign": config.schedule.kick_sign}
-    if config.grid is not None:
-        out["grid"] = {"t_max": config.grid.t_max, "points": config.grid.n_points,
-                       "mode": config.grid.mode}
-    if config.axes is not None:
-        a = config.axes
-        out["axes"] = {"lambdas": list(a.lambdas) if a.lambdas else None,
-                       "delta_ts": list(a.delta_ts) if a.delta_ts else None,
-                       "t_star": a.t_star, "half_width": a.half_width,
-                       "window_points": a.window_points}
+    """JSON-ready snapshot of a resolved configuration, laid out as _KEYS."""
+    out: dict = {}
+    for (section, key), (field, _) in _KEYS.items():
+        record = config if section == "run" else getattr(config, section)
+        if record is None:
+            continue
+        value = getattr(record, field)
+        target = out if section == "run" else out.setdefault(section, {})
+        target[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -257,76 +207,87 @@ def config_as_dict(config: RunConfig) -> dict:
 # Figure presets: full paper scale, reproducible from one config each.
 # ---------------------------------------------------------------------------
 
-def _preset_fig1() -> RunConfig:
-    """Echo vs time at N=100, eps=0.25, single link; pulsed curve family
-    per transverse field, uncontrolled curve included per field."""
-    return RunConfig(
-        mode="pulsed",
-        spec=ChainSpec(N=100, lam=1.0, epsilon=0.25, links=(1,)),
-        schedule=PulseSchedule(delta_t=0.25),
-        grid=TimeGrid(t_max=50.0, n_points=501),
-        axes=SweepAxes(lambdas=(0.5, 1.0, 1.5),
-                       delta_ts=(0.1, 0.25, 0.375, 0.5, 1.0)),
-        out="fig1.csv",
-    ).validated()
-
-
-def _preset_fig2() -> RunConfig:
-    """Window-averaged echo at Jt*=25 vs pulse interval, per field."""
-    return RunConfig(
-        mode="sweep",
-        spec=ChainSpec(N=100, lam=1.0, epsilon=0.25, links=(1,)),
-        axes=SweepAxes(
-            lambdas=(0.5, 0.9, 1.0, 1.1),
-            delta_ts=tuple(round(0.1 * k, 10) for k in range(1, 31)),
-            t_star=25.0, half_width=5.0,
-        ),
-        out="fig2.csv",
-    ).validated()
-
-
-def _preset_fig3() -> RunConfig:
-    """Averaged echo and rescaled echo at Jt*=25 vs transverse field."""
-    return RunConfig(
-        mode="sweep",
-        spec=ChainSpec(N=100, lam=1.0, epsilon=0.25, links=(1,)),
-        axes=SweepAxes(
-            lambdas=tuple(round(0.5 + 0.1 * k, 10) for k in range(0, 16)),
-            delta_ts=(0.1, 0.2, 0.3, 0.5, 1.0, 2.0),
-            t_star=25.0, half_width=5.0,
-        ),
-        out="fig3.csv",
-    ).validated()
-
-
-def _preset_fig4() -> RunConfig:
-    """Spin-star sweep at N=300, eps=0.01, Jt*=10."""
-    return RunConfig(
-        mode="sweep",
-        spec=ChainSpec.spin_star(N=300, lam=1.0, epsilon=0.01),
-        axes=SweepAxes(
-            lambdas=tuple(round(0.5 + 0.05 * k, 10) for k in range(0, 21)),
-            delta_ts=(0.05, 0.1, 0.25, 0.5, 1.0),
-            t_star=10.0, half_width=5.0,
-        ),
-        out="fig4.csv",
-    ).validated()
-
+# The bath of fig1-fig3: the N=100 chain with the qubit on one site.
+_CHAIN_100 = """
+[spec]
+N = 100
+lambda = 1.0
+epsilon = 0.25
+links = 1
+"""
 
 _PRESETS = {
-    "fig1": _preset_fig1,
-    "fig2": _preset_fig2,
-    "fig3": _preset_fig3,
-    "fig4": _preset_fig4,
+    # Echo vs time at N=100, eps=0.25, single link; pulsed curve family per
+    # transverse field, uncontrolled curve included per field.
+    "fig1": _CHAIN_100 + """
+[run]
+mode = pulsed
+out = fig1.csv
+[schedule]
+delta_t = 0.25
+[grid]
+t_max = 50.0
+points = 501
+[axes]
+lambdas = 0.5, 1.0, 1.5
+delta_ts = 0.1, 0.25, 0.375, 0.5, 1.0
+""",
+    # Window-averaged echo at Jt*=25 vs pulse interval, per field.
+    "fig2": _CHAIN_100 + """
+[run]
+mode = sweep
+out = fig2.csv
+[axes]
+lambdas = 0.5, 0.9, 1.0, 1.1
+delta_ts = 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
+           1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0,
+           2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9, 3.0
+t_star = 25.0
+half_width = 5.0
+""",
+    # Averaged echo and rescaled echo at Jt*=25 vs transverse field.
+    "fig3": _CHAIN_100 + """
+[run]
+mode = sweep
+out = fig3.csv
+[axes]
+lambdas = 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2,
+          1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0
+delta_ts = 0.1, 0.2, 0.3, 0.5, 1.0, 2.0
+t_star = 25.0
+half_width = 5.0
+""",
+    # Spin-star sweep at N=300, eps=0.01, Jt*=10.
+    "fig4": """
+[run]
+mode = sweep
+out = fig4.csv
+[spec]
+N = 300
+lambda = 1.0
+epsilon = 0.01
+links = all
+[axes]
+lambdas = 0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0,
+          1.05, 1.1, 1.15, 1.2, 1.25, 1.3, 1.35, 1.4, 1.45, 1.5
+delta_ts = 0.05, 0.1, 0.25, 0.5, 1.0
+t_star = 10.0
+half_width = 5.0
+""",
 }
 
 
-def preset(name: str) -> RunConfig:
-    """Fully resolved RunConfig for a named figure preset."""
+def read_preset(name: str) -> dict[str, dict[str, str]]:
+    """Raw section/key/value strings of a named figure preset."""
     try:
-        builder = _PRESETS[name]
+        text = _PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(_PRESETS))}"
         ) from None
-    return builder()
+    return _read_ini(text, f"preset {name}")
+
+
+def preset(name: str) -> RunConfig:
+    """Fully resolved RunConfig for a named figure preset."""
+    return build_run_config(read_preset(name))

@@ -86,10 +86,14 @@ class _BranchData:
     """Both branch spectra in the up-branch eigenbasis.
 
     The occupied modes are the first N up modes, so k[:N] = W^T V_down.
-    Raises DegenerateFillingError when the filled sea is ambiguous.
+    Raises DegenerateFillingError when the filled sea is ambiguous, and
+    SpecError for odd N, where the calibrated antiperiodic sector misses
+    the oracle echo (by 8e-4 to 5e-2 at N = 3, 5, 7, one link, Jt <= 10).
     """
 
     def __init__(self, spec: ChainSpec):
+        if spec.N % 2:
+            raise SpecError(f"the determinant echo needs even N, got N={spec.N}")
         up = freefermion.diagonalize(freefermion.build_bdg(spec, "up"))
         down = freefermion.diagonalize(freefermion.build_bdg(spec, "down"))
         self.spec = spec
@@ -245,8 +249,8 @@ class SweepRow:
 
 
 def sweep(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
-          t_star: float, half_width: float, schedule: Optional[PulseSchedule] = None,
-          window_points: int = 101, threads: int = 1) -> list[SweepRow]:
+          t_star: float, half_width: float, window_points: int = 101,
+          threads: int = 1) -> list[SweepRow]:
     """Time-averaged pulsed echo against the uncontrolled value.
 
     One row per (lam, dt) point, lam outer and dt inner, each holding the
@@ -264,15 +268,16 @@ def sweep(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
         raise SpecError("sweep needs nonempty lambda and delta_t axes")
     if half_width <= 0:
         raise SpecError("sweep needs a positive averaging half-width")
+    if window_points < 2:
+        raise SpecError(f"sweep needs window_points >= 2, got {window_points}")
     window = np.linspace(t_star - half_width, t_star + half_width, window_points)
     if window[0] < 0:
         raise SpecError("averaging window extends below t = 0")
     ts = np.concatenate(([0.0], window)) if window[0] > 0 else window
-    kick = schedule.kick_sign if schedule is not None else 1
 
     def pulsed_avg(data: _BranchData, dt: float) -> float:
-        sched = PulseSchedule(delta_t=dt, kick_sign=kick)
-        series = _series(data.spec, sched, ts, _pulsed_log_dets(data, dt, ts), "pulsed")
+        series = _series(data.spec, PulseSchedule(delta_t=dt), ts,
+                         _pulsed_log_dets(data, dt, ts), "pulsed")
         return time_average(series, t_star, half_width)
 
     rows: list[SweepRow] = []

@@ -26,7 +26,7 @@ from bbecho import echo, oracle
 from bbecho.echo import (loschmidt_effective, loschmidt_free, loschmidt_pulsed,
                          sweep, time_average)
 from bbecho.freefermion import build_bdg, diagonalize, ground_correlation, propagator
-from bbecho.model import ChainSpec, PulseSchedule, TimeGrid
+from bbecho.model import ChainSpec, PulseSchedule, SpecError, TimeGrid
 from bbecho.spinstar import amplitude_closed_form, effective_coupling, gamma_coefficient
 
 
@@ -228,17 +228,25 @@ def test_10_invariant_fuzzer():
         dt = float(rng.uniform(0.05, 1.5))
         schedule = PulseSchedule(delta_t=dt)
         grid = TimeGrid(t_max=5.0, n_points=6)
-        for series in (loschmidt_free(spec, grid),
-                       loschmidt_pulsed(spec, schedule, grid)):
-            assert series.points[0].le == 1.0
-            assert np.all(series.le >= 0.0)
-            assert np.all(series.le <= 1.0 + 1e-9)
+        if n % 2:
+            # odd N is refused by every determinant route
+            for route in (lambda: loschmidt_free(spec, grid),
+                          lambda: loschmidt_pulsed(spec, schedule, grid),
+                          lambda: echo._BranchData(spec)):
+                with pytest.raises(SpecError, match="even N"):
+                    route()
+        else:
+            for series in (loschmidt_free(spec, grid),
+                           loschmidt_pulsed(spec, schedule, grid)):
+                assert series.points[0].le == 1.0
+                assert np.all(series.le >= 0.0)
+                assert np.all(series.le <= 1.0 + 1e-9)
 
-        data = echo._BranchData(spec)
-        cycle, rows = echo._cycle(data, dt), np.eye(n, 2 * n)
-        le1 = np.exp(echo._residual_log_det(data, cycle, rows, dt, dt, 1))
-        le2 = np.exp(echo._residual_log_det(data, cycle, rows, dt, dt, 2))
-        assert abs(le1 - le2) <= 1e-9
+            data = echo._BranchData(spec)
+            cycle, rows = echo._cycle(data, dt), np.eye(n, 2 * n)
+            le1 = np.exp(echo._residual_log_det(data, cycle, rows, dt, dt, 1))
+            le2 = np.exp(echo._residual_log_det(data, cycle, rows, dt, dt, 2))
+            assert abs(le1 - le2) <= 1e-9
 
         from dataclasses import replace
         gen_low = echo.effective_bdg(replace(spec, lam=0.5), schedule)

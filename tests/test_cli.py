@@ -55,6 +55,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             read_config_file(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("[qubit]\nomega0 = 1.0\n", "unknown config section"),
+        ("[schedule]\ndelta_t = 0.5\nkick_sign = -1\n", "unknown key 'kick_sign'"),
+        ("[spec]\nN = 4\nboundary_sign = 1\n", "unknown key 'boundary_sign'"),
+    ], ids=["qubit", "kick_sign", "boundary_sign"])
+    def test_dropped_keys_rejected(self, tmp_path, text, message):
+        path = _write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=message):
+            read_config_file(str(path))
+
     def test_links_all_expands(self, tmp_path):
         ini = FREE_INI.format(out="x.csv").replace("links = 1", "links = all")
         config = build_run_config(read_config_file(str(_write_config(tmp_path, ini))))
@@ -108,18 +118,11 @@ class TestPresets:
                                                       monkeypatch):
         # wire check on a downscaled preset; the real ones run for minutes
         from bbecho import config as config_mod
-        from bbecho.config import RunConfig, SweepAxes
-        from bbecho.model import ChainSpec
 
-        def tiny():
-            return RunConfig(
-                mode="sweep",
-                spec=ChainSpec(N=6, lam=1.0, epsilon=0.25, links=(1,)),
-                axes=SweepAxes(lambdas=(0.9, 1.1), delta_ts=(0.4,),
-                               t_star=2.0, half_width=1.0, window_points=11),
-                out="tiny.csv",
-            ).validated()
-
+        tiny = ("[run]\nmode = sweep\nout = tiny.csv\n"
+                "[spec]\nN = 6\nlambda = 1.0\nepsilon = 0.25\nlinks = 1\n"
+                "[axes]\nlambdas = 0.9, 1.1\ndelta_ts = 0.4\n"
+                "t_star = 2.0\nhalf_width = 1.0\nwindow_points = 11\n")
         monkeypatch.setitem(config_mod._PRESETS, "tiny", tiny)
         out = tmp_path / "tiny.csv"
         assert main(["preset", "tiny", "--out", str(out), "--threads", "2"]) == 0
@@ -256,22 +259,61 @@ class TestRunCommand:
         assert main(["run", "--mode", "free"]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, bad", [
-        ("N = 8", "N = 4.5"),
-        ("mode = free", "mode = free\nthreads = two"),
-        ("[spec]", "[qubit]\nc_up = 1+\n\n[spec]"),
-    ], ids=["N", "threads", "c_up"])
-    def test_malformed_number_is_config_error(self, state_dir, tmp_path, capsys, key, bad):
+    @pytest.mark.parametrize("key, bad, named", [
+        ("N = 8", "N = 4.5", "[spec] N = '4.5': "),
+        ("mode = free", "mode = free\nthreads = two", "[run] threads = 'two': "),
+        ("epsilon = 0.0", "epsilon = 0.o", "[spec] epsilon = '0.o': "),
+    ], ids=["N", "threads", "epsilon"])
+    def test_malformed_number_is_config_error(self, state_dir, tmp_path, capsys,
+                                              key, bad, named):
         ini = FREE_INI.format(out=tmp_path / "x.csv").replace(key, bad)
         assert main(["run", "--config", str(_write_config(tmp_path, ini))]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "Traceback" not in err
+        assert err.startswith("config error: " + named) and "Traceback" not in err
 
-    def test_degenerate_sector_is_numerical_error(self, state_dir, tmp_path, capsys):
-        # periodic sector at criticality has a zero mode: exit 2
-        ini = FREE_INI.format(out=tmp_path / "x.csv").replace(
-            "epsilon = 0.0", "epsilon = 0.0\nboundary_sign = 1")
-        path = _write_config(tmp_path, ini)
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--N", "4.5"], "config error: [spec] N = '4.5': "),
+        (["preset", "fig1", "--threads", "two"], "config error: [run] threads = 'two': "),
+    ], ids=["run-N", "preset-threads"])
+    def test_malformed_flag_is_config_error(self, state_dir, tmp_path, capsys,
+                                            argv, message):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+        assert not out.exists()
+
+    def test_odd_n_is_config_error(self, state_dir, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        ini = FREE_INI.format(out=out).replace("N = 8", "N = 7")
+        assert main(["run", "--config", str(_write_config(tmp_path, ini))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "even N" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("window_points", ["-5", "0", "1"])
+    def test_bad_window_points_is_config_error(self, state_dir, tmp_path, capsys,
+                                               window_points):
+        out = tmp_path / "x.csv"
+        ini = (FREE_INI.format(out=out).replace("mode = free", "mode = sweep")
+               + "\n[axes]\nlambdas = 1.0\ndelta_ts = 0.4\nt_star = 2.0\n"
+               + f"half_width = 1.0\nwindow_points = {window_points}\n")
+        assert main(["run", "--config", str(_write_config(tmp_path, ini))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "window_points >= 2" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_degenerate_sector_is_numerical_error(self, state_dir, tmp_path, capsys,
+                                                  monkeypatch):
+        # a filled sea that cannot be defined is a numerical failure: exit 2
+        from bbecho import echo
+        from bbecho.freefermion import DegenerateFillingError
+
+        def degenerate(*args):
+            raise DegenerateFillingError("zero mode at the Fermi level")
+
+        monkeypatch.setattr(echo, "loschmidt_free", degenerate)
+        path = _write_config(tmp_path, FREE_INI.format(out=tmp_path / "x.csv"))
         assert main(["run", "--config", str(path)]) == 2
         assert "numerical error" in capsys.readouterr().err
 

@@ -94,6 +94,27 @@ class TestLoschmidtPulsed:
         assert abs(pts[3].le - pts[2].le) <= 1e-5
 
 
+_ODD_N_ROUTES = {
+    "free": lambda spec: loschmidt_free(spec, TimeGrid(t_max=2.0, n_points=5)),
+    "pulsed": lambda spec: loschmidt_pulsed(spec, PulseSchedule(delta_t=0.3),
+                                            TimeGrid(t_max=2.0, n_points=5)),
+    "effective": lambda spec: loschmidt_effective(spec, PulseSchedule(delta_t=0.3),
+                                                  TimeGrid(t_max=2.0, mode="cycles")),
+    "sweep": lambda spec: sweep(spec, lambdas=[spec.lam], delta_ts=[0.3],
+                                t_star=2.0, half_width=1.0, window_points=5),
+    "calibration": lambda spec: oracle.calibrate_conventions([spec]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ODD_N_ROUTES))
+@pytest.mark.parametrize("n", [3, 5])
+def test_odd_n_refused_by_every_determinant_route(route, n):
+    # the antiperiodic sector misses the oracle for odd N; no route may
+    # return an echo for it
+    with pytest.raises(SpecError, match="even N"):
+        _ODD_N_ROUTES[route](_spec(N=n, lam=1.5, links=(1,)))
+
+
 class TestOccupiedSubspaceKernel:
     """The N x N kernel against the 2N x 2N reference strings at N = 100."""
 
@@ -264,6 +285,12 @@ class TestSweep:
     def test_empty_axes_rejected(self):
         with pytest.raises(SpecError, match="axes"):
             sweep(_spec(), lambdas=[], delta_ts=[0.1], t_star=1.0, half_width=0.5)
+
+    @pytest.mark.parametrize("window_points", [-5, 0, 1])
+    def test_window_needs_two_points(self, window_points):
+        with pytest.raises(SpecError, match="window_points >= 2"):
+            sweep(_spec(), lambdas=[1.0], delta_ts=[0.4], t_star=2.0,
+                  half_width=1.0, window_points=window_points)
 
 
 class TestPaperScaleShapes:
