@@ -5,7 +5,9 @@ sub-record ([run], [spec], [schedule], [grid], [axes]). One table,
 ``_KEYS``, maps every settable key to its record field and parser; config
 files, command-line flags and the figure presets all pass through it.
 Unknown sections or keys are errors, and a value that does not parse
-names its ``[section] key``. Command-line flags override file keys. The
+names its ``[section] key``. A second table, ``_MODES``, names the
+sections each mode needs and the keys it reads; a key the mode does not
+read is refused. Command-line flags override file keys. The
 fully resolved configuration is echoed into the JSON sidecar of every run
 so any output file can be reproduced from its sidecar alone.
 """
@@ -17,9 +19,6 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
 from .model import ChainSpec, PulseSchedule, SpecError, TimeGrid
-
-MODES = ("free", "pulsed", "effective", "spinstar-analytic", "oracle-check", "sweep")
-
 
 class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
@@ -47,31 +46,21 @@ class RunConfig:
     recalibrate: bool = False
 
     def validated(self) -> "RunConfig":
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}; choose csv or json")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.mode == "oracle-check":
-            return self
-        if self.spec is None:
-            raise ConfigError(f"mode {self.mode} needs a [spec] section")
-        if self.mode in ("pulsed", "effective", "spinstar-analytic") and self.schedule is None:
-            raise ConfigError(f"mode {self.mode} needs a [schedule] section")
-        if self.mode in ("free", "pulsed", "effective", "spinstar-analytic") and self.grid is None:
-            raise ConfigError(f"mode {self.mode} needs a [grid] section")
+        for section in _MODES[self.mode][0]:
+            if getattr(self, section) is None:
+                raise ConfigError(f"mode {self.mode} needs a [{section}] section")
         if self.mode == "spinstar-analytic" and not self.spec.is_spin_star:
             raise ConfigError("spinstar-analytic needs links = all")
-        if self.mode == "sweep":
-            if self.axes is None:
-                raise ConfigError("mode sweep needs an [axes] section")
-            if not self.axes.lambdas or not self.axes.delta_ts:
-                raise ConfigError("sweep axes need lambdas and delta_ts")
-            if self.axes.t_star is None or self.axes.half_width is None:
-                raise ConfigError("sweep axes need t_star and half_width")
-        if self.axes is not None and self.mode in ("effective", "spinstar-analytic"):
-            raise ConfigError(f"axes are not supported for mode {self.mode}")
+        if (self.mode in ("pulsed", "sweep") and self.schedule is None
+                and (self.axes is None or self.axes.delta_ts is None)):
+            raise ConfigError(f"mode {self.mode} needs [schedule] delta_t "
+                              "or [axes] delta_ts")
+        if self.mode == "sweep" and None in (self.axes.t_star, self.axes.half_width):
+            raise ConfigError("sweep axes need t_star and half_width")
         return self
 
 
@@ -83,7 +72,10 @@ def _parse_links(text: str):
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    values = tuple(float(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise ValueError("expected a comma list of numbers")
+    return values
 
 
 def _parse_bool(text: str) -> bool:
@@ -120,6 +112,27 @@ _KEYS = {
 }
 _RECORDS = {"spec": ChainSpec, "schedule": PulseSchedule, "grid": TimeGrid,
             "axes": SweepAxes}
+
+
+def _reads(*names: str) -> frozenset:
+    """(section, key) pairs of _KEYS named "section" (all its keys) or
+    "section key"; [run] keys are always included."""
+    return frozenset(pair for pair in _KEYS
+                     if pair[0] in ("run",) + names or " ".join(pair) in names)
+
+
+# mode -> (sections it needs, (section, key) pairs it reads). A key the
+# mode does not read is refused, since it could change no output.
+_SPEC_DT_GRID = ("spec", "schedule", "grid")
+_MODES = {
+    "free": (("spec", "grid"), _reads("spec", "grid", "axes lambdas")),
+    "pulsed": (("spec", "grid"), _reads(*_SPEC_DT_GRID, "axes lambdas", "axes delta_ts")),
+    "effective": (_SPEC_DT_GRID, _reads(*_SPEC_DT_GRID)),
+    "spinstar-analytic": (_SPEC_DT_GRID, _reads(*_SPEC_DT_GRID)),
+    "oracle-check": ((), _reads()),
+    "sweep": (("spec", "axes"), _reads("spec", "schedule", "axes")),
+}
+MODES = tuple(_MODES)
 
 
 def _read_ini(text: str, source: str) -> dict[str, dict[str, str]]:
@@ -176,18 +189,28 @@ def _section(section: str, values: dict[str, str]):
 
 
 def build_run_config(raw: dict[str, dict[str, str]]) -> RunConfig:
-    """Typed RunConfig from raw strings; all domain validation applies."""
+    """Typed RunConfig from raw strings; all domain validation applies.
+
+    An [axes] section's absent lambdas or delta_ts is the one value of
+    [spec] lambda or [schedule] delta_t; a present one takes its place.
+    """
+    mode = raw.get("run", {}).get("mode", RunConfig.mode)
+    if mode not in _MODES:
+        raise ConfigError(f"unknown mode {mode!r}; choose from {MODES}")
+    reads = _MODES[mode][1]
+    for section, values in raw.items():
+        for key in values:
+            if (section, key) not in reads:
+                raise ConfigError(f"[{section}] {key} is not read by mode {mode}")
+        if section not in {sec for sec, _ in reads}:
+            raise ConfigError(f"[{section}] is not read by mode {mode}")
     parts = {section: _section(section, values) for section, values in raw.items()}
-    config = RunConfig(**parts.pop("run", {}), **parts)
-    if config.mode == "sweep" and config.axes is not None:
-        # flag-driven sweeps: singleton axes fall back to --lambda / --dt
-        axes = config.axes
-        if axes.lambdas is None and config.spec is not None:
-            axes = replace(axes, lambdas=(config.spec.lam,))
-        if axes.delta_ts is None and config.schedule is not None:
-            axes = replace(axes, delta_ts=(config.schedule.delta_t,))
-        config.axes = axes
-    return config.validated()
+    config = RunConfig(**parts.pop("run", {}), **parts).validated()
+    if config.axes is not None:  # free has no schedule and keeps delta_ts None
+        axes, schedule = config.axes, config.schedule
+        config.axes = replace(axes, lambdas=axes.lambdas or (config.spec.lam,),
+                              delta_ts=axes.delta_ts or schedule and (schedule.delta_t,))
+    return config
 
 
 def config_as_dict(config: RunConfig) -> dict:
@@ -223,8 +246,6 @@ _PRESETS = {
 [run]
 mode = pulsed
 out = fig1.csv
-[schedule]
-delta_t = 0.25
 [grid]
 t_max = 50.0
 points = 501

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -248,6 +248,33 @@ class SweepRow:
     ratio: Optional[float]
 
 
+def family(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
+           ts: np.ndarray, threads: int = 1) -> Iterator[tuple]:
+    """Echo series (lam, dt, series) at the ascending times ts, lam outer.
+
+    Per field, one _BranchData serves the uncontrolled series, yielded
+    first with dt None, and then one pulsed series per interval in the
+    order of delta_ts. Each pulsed series is an independent pure
+    computation over that shared data; threads > 1 computes those of one
+    field in parallel.
+    """
+    for lam in lambdas:
+        spec_l = replace(spec, lam=lam)
+        data = _BranchData(spec_l)
+        yield lam, None, _series(spec_l, None, ts, _free_log_dets(data, ts), "free")
+
+        def pulsed(dt: float) -> EchoSeries:
+            return _series(spec_l, PulseSchedule(delta_t=dt), ts,
+                           _pulsed_log_dets(data, dt, ts), "pulsed")
+
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                series = list(pool.map(pulsed, delta_ts))
+        else:
+            series = [pulsed(dt) for dt in delta_ts]
+        yield from ((lam, dt, one) for dt, one in zip(delta_ts, series))
+
+
 def sweep(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
           t_star: float, half_width: float, window_points: int = 101,
           threads: int = 1) -> list[SweepRow]:
@@ -256,11 +283,8 @@ def sweep(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
     One row per (lam, dt) point, lam outer and dt inner, each holding the
     window-averaged pulsed echo, the uncontrolled echo (computed once per
     lam), and their ratio. The ratio is None where the uncontrolled echo
-    is below 1e-14 (deep decay, meaningless division).
-
-    Work per row is an independent pure computation over shared spectral
-    data; threads > 1 maps the rows of each lam in parallel and then
-    assembles them in deterministic order.
+    is below 1e-14 (deep decay, meaningless division). The series are
+    those of family, on the window grid, with the same threads.
     """
     lambdas = list(lambdas)
     delta_ts = list(delta_ts)
@@ -275,25 +299,13 @@ def sweep(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
         raise SpecError("averaging window extends below t = 0")
     ts = np.concatenate(([0.0], window)) if window[0] > 0 else window
 
-    def pulsed_avg(data: _BranchData, dt: float) -> float:
-        series = _series(data.spec, PulseSchedule(delta_t=dt), ts,
-                         _pulsed_log_dets(data, dt, ts), "pulsed")
-        return time_average(series, t_star, half_width)
-
     rows: list[SweepRow] = []
-    for lam in lambdas:
-        spec_l = replace(spec, lam=lam)
-        data = _BranchData(spec_l)
-        free = _series(spec_l, None, ts, _free_log_dets(data, ts), "free")
-        le_free = time_average(free, t_star, half_width)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                averages = list(pool.map(lambda dt: pulsed_avg(data, dt), delta_ts))
-        else:
-            averages = [pulsed_avg(data, dt) for dt in delta_ts]
-        for dt, le_pulsed in zip(delta_ts, averages):
-            ratio = le_pulsed / le_free if le_free >= 1e-14 else None
-            rows.append(SweepRow(lam=float(lam), delta_t=float(dt),
-                                 le_pulsed=le_pulsed, le_free=le_free,
-                                 ratio=ratio))
+    for lam, dt, series in family(spec, lambdas, delta_ts, ts, threads):
+        average = time_average(series, t_star, half_width)
+        if dt is None:
+            le_free = average
+            continue
+        ratio = average / le_free if le_free >= 1e-14 else None
+        rows.append(SweepRow(lam=float(lam), delta_t=float(dt), le_pulsed=average,
+                             le_free=le_free, ratio=ratio))
     return rows

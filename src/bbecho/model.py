@@ -173,7 +173,7 @@ class TimeGrid:
     """Sampling times, either uniform on [0, t_max] or cycle-aligned.
 
     Cycle-aligned grids hold t = 2*M*delta_t only and need a schedule to
-    materialize; n_points is ignored in that mode.
+    materialize; they take no n_points, since the schedule fixes the count.
     """
 
     t_max: float
@@ -194,6 +194,9 @@ class TimeGrid:
             if n < 2:
                 raise SpecError(f"n_points must be at least 2, got {n}")
             object.__setattr__(self, "n_points", n)
+        elif self.n_points is not None:
+            raise SpecError("a cycle-aligned grid takes no n_points: "
+                            "its times are t = 2 M delta_t")
 
     def times(self, schedule: Optional[PulseSchedule] = None) -> np.ndarray:
         """Strictly increasing sample times starting at 0."""

@@ -1,13 +1,17 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bbecho import echo
 from bbecho.cli import main
 from bbecho.config import (ConfigError, build_run_config, preset,
                            read_config_file)
+from bbecho.model import ChainSpec, PulseSchedule, TimeGrid
 
-FREE_INI = """\
+SPEC_INI = """\
 [run]
 mode = free
 out = {out}
@@ -17,11 +21,17 @@ N = 8
 lambda = 1.0
 epsilon = 0.0
 links = 1
-
+"""
+FREE_INI = SPEC_INI + """
 [grid]
 t_max = 5.0
 points = 11
 """
+SPEC_FLAGS = ["--N", "8", "--lambda", "1.0", "--epsilon", "0.25", "--links", "1"]
+GRID_FLAGS = ["--tmax", "5.0", "--points", "11"]
+WINDOW_FLAGS = ["--dt", "0.4", "--tstar", "2.0", "--halfwidth", "1.0"]
+CYCLES_INI = (FREE_INI.replace("points = 11", "mode = cycles")
+              + "\n[schedule]\ndelta_t = 0.25\n")
 
 
 def _write_config(tmp_path, text, name="run.ini"):
@@ -85,6 +95,13 @@ class TestConfigParsing:
                 "spec": {"N": "6", "lambda": "1.0", "epsilon": "0.25", "links": "1"},
             })
 
+    def test_readme_example_builds(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        (block,) = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                              re.S)
+        config = build_run_config(read_config_file(str(_write_config(tmp_path, block))))
+        assert config.axes.delta_ts == (config.schedule.delta_t,)
+
 
 class TestPresets:
     def test_fig4_is_the_spin_star_run(self):
@@ -102,7 +119,7 @@ class TestPresets:
 
     def test_fig1_family(self):
         config = preset("fig1")
-        assert config.mode == "pulsed"
+        assert config.mode == "pulsed" and config.schedule is None
         assert config.axes.lambdas == (0.5, 1.0, 1.5)
         assert 0.375 in config.axes.delta_ts
 
@@ -247,6 +264,39 @@ class TestRunCommand:
         assert all(r[1] == "" for r in free_rows)
         assert {r[0] for r in rows} == {"0.5", "1.0"}
 
+    def test_family_falls_back_to_schedule_interval(self, state_dir, tmp_path):
+        out = tmp_path / "family.csv"
+        ini = FREE_INI.format(out=out) + "\n[axes]\nlambdas = 0.5, 1.0\n"
+        assert main(["run", "--config", str(_write_config(tmp_path, ini)),
+                     "--mode", "pulsed", "--dt", "0.5", "--epsilon", "0.25"]) == 0
+        header, rows = _read_csv(out)
+        assert header == ["lambda", "delta_t", "t", "le", "log_le", "kind"]
+        assert len(rows) == 2 * 2 * 11
+        assert {r[1] for r in rows if r[5] == "pulsed"} == {"0.5"}
+        assert {r[1] for r in rows if r[5] == "free"} == {""}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_family_rows_equal_series(self, state_dir, tmp_path, threads):
+        out = tmp_path / "family.csv"
+        ini = (FREE_INI.format(out=out).replace("epsilon = 0.0", "epsilon = 0.25")
+               + "\n[axes]\nlambdas = 0.5, 1.5\ndelta_ts = 0.3, 0.7\n")
+        assert main(["run", "--config", str(_write_config(tmp_path, ini)),
+                     "--mode", "pulsed", "--threads", threads]) == 0
+        _, rows = _read_csv(out)
+        grid = TimeGrid(t_max=5.0, n_points=11)
+        expected = []
+        for lam in (0.5, 1.5):
+            spec = ChainSpec(N=8, lam=lam, epsilon=0.25, links=(1,))
+            expected += [(lam, "", echo.loschmidt_free(spec, grid))]
+            expected += [(lam, dt, echo.loschmidt_pulsed(spec, PulseSchedule(dt), grid))
+                         for dt in (0.3, 0.7)]
+        assert len(rows) == len(expected) * 11
+        for i, (lam, dt, series) in enumerate(expected):
+            block = rows[11 * i: 11 * (i + 1)]
+            assert {(r[0], r[1]) for r in block} == {(repr(lam), str(dt))}
+            assert [float(r[3]) for r in block] == series.le.tolist()
+            assert [float(r[4]) for r in block] == series.log_le.tolist()
+
     def test_json_format(self, state_dir, tmp_path):
         out = tmp_path / "free.json"
         path = _write_config(tmp_path, FREE_INI.format(out=out))
@@ -295,12 +345,63 @@ class TestRunCommand:
     def test_bad_window_points_is_config_error(self, state_dir, tmp_path, capsys,
                                                window_points):
         out = tmp_path / "x.csv"
-        ini = (FREE_INI.format(out=out).replace("mode = free", "mode = sweep")
+        ini = (SPEC_INI.format(out=out).replace("mode = free", "mode = sweep")
                + "\n[axes]\nlambdas = 1.0\ndelta_ts = 0.4\nt_star = 2.0\n"
                + f"half_width = 1.0\nwindow_points = {window_points}\n")
         assert main(["run", "--config", str(_write_config(tmp_path, ini))]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "window_points >= 2" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("ini, argv, named", [
+        (None, ["--mode", "free", *SPEC_FLAGS, *GRID_FLAGS, "--dt", "0.3"],
+         "[schedule] delta_t is not read by mode free"),
+        (None, ["--mode", "sweep", *SPEC_FLAGS, *WINDOW_FLAGS, "--tmax", "5.0"],
+         "[grid] t_max is not read by mode sweep"),
+        (None, ["--mode", "sweep", *SPEC_FLAGS, *WINDOW_FLAGS, "--points", "11"],
+         "[grid] points is not read by mode sweep"),
+        (None, ["--mode", "free", *SPEC_FLAGS, *GRID_FLAGS, "--tstar", "2.0"],
+         "[axes] t_star is not read by mode free"),
+        (None, ["--mode", "pulsed", *SPEC_FLAGS, *GRID_FLAGS, "--dt", "0.3",
+                "--halfwidth", "1.0"],
+         "[axes] half_width is not read by mode pulsed"),
+        (None, ["--mode", "oracle-check", "--N", "8"],
+         "[spec] N is not read by mode oracle-check"),
+        (CYCLES_INI + "\n[axes]\nlambdas = 0.5\n", ["--mode", "effective"],
+         "[axes] lambdas is not read by mode effective"),
+        (CYCLES_INI + "\n[axes]\n", ["--mode", "effective"],
+         "[axes] is not read by mode effective"),
+    ], ids=["free-dt", "sweep-tmax", "sweep-points", "free-tstar", "pulsed-halfwidth",
+            "oracle-check-N", "effective-lambdas", "effective-empty-axes"])
+    def test_unread_key_is_config_error(self, state_dir, tmp_path, capsys,
+                                        ini, argv, named):
+        out = tmp_path / "x.csv"
+        if ini is not None:
+            argv = ["--config", str(_write_config(tmp_path, ini.format(out=out)))] + argv
+        assert main(["run", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + named) and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "x.meta.json").exists()
+
+    @pytest.mark.parametrize("key", ["lambdas", "delta_ts"])
+    def test_empty_axis_list_is_config_error(self, state_dir, tmp_path, capsys, key):
+        out = tmp_path / "x.csv"
+        ini = (SPEC_INI.format(out=out).replace("mode = free", "mode = sweep")
+               + "\n[schedule]\ndelta_t = 0.4\n"
+               + f"\n[axes]\n{key} =\nt_star = 2.0\nhalf_width = 1.0\n")
+        assert main(["run", "--config", str(_write_config(tmp_path, ini))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [axes] {key} = '': ")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_cycle_grid_with_points_is_config_error(self, state_dir, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        ini = CYCLES_INI.format(out=out).replace("mode = cycles",
+                                                 "mode = cycles\npoints = 7")
+        assert main(["run", "--config", str(_write_config(tmp_path, ini)),
+                     "--mode", "effective"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [grid] ") and "n_points" in err
         assert "Traceback" not in err and not out.exists()
 
     def test_degenerate_sector_is_numerical_error(self, state_dir, tmp_path, capsys,

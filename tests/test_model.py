@@ -118,6 +118,7 @@ class TestTimeGrid:
         dict(t_max=1.0, n_points=1),
         dict(t_max=1.0),
         dict(t_max=1.0, n_points=5, mode="log"),
+        dict(t_max=1.0, n_points=7, mode="cycles"),
     ])
     def test_invalid_grids(self, kwargs):
         with pytest.raises(SpecError):
