@@ -5,7 +5,7 @@ the resolved configuration, the calibrated conventions, and the library
 version. Identical configurations produce byte-identical CSV: floats are
 printed as shortest round-trip decimals and row order is fixed.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical or
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical or
 calibration failure.
 """
 
@@ -24,7 +24,7 @@ from . import __version__, conventions, echo, oracle
 from .config import (ConfigError, RunConfig, build_run_config, config_as_dict,
                      read_config_file, read_preset)
 from .freefermion import DegenerateFillingError
-from .model import ChainSpec, PulseSchedule, SpecError, TimeGrid
+from .model import ChainSpec, PulseSchedule, SpecError
 from .oracle import CalibrationError, DegenerateGroundStateError
 from .spinstar import amplitude_closed_form, effective_coupling
 
@@ -86,7 +86,7 @@ def _closed_form(config: RunConfig) -> echo.EchoSeries:
         le = amp * amp
         log_le = math.log(le) if le > 0.0 else float("-inf")
         points.append(echo.EchoPoint(t=float(t), le=le, log_le=log_le, kind="analytic"))
-    return echo.EchoSeries(spec=spec, schedule=schedule, points=tuple(points))
+    return echo.EchoSeries(points=tuple(points))
 
 
 # Each entry looks echo.loschmidt_* up at call time, so a wrapper installed
@@ -108,7 +108,7 @@ def _run_series(config: RunConfig) -> tuple[list[str], list[list]]:
         return ["t", "le", "log_le", "kind"], [[p.t, p.le, p.log_le, p.kind]
                                                for p in series.points]
     family = echo.family(config.spec, axes.lambdas, axes.delta_ts or (),
-                         config.grid.times(), config.threads)
+                         config.grid.times())
     rows = [[lam, dt, p.t, p.le, p.log_le, p.kind]
             for lam, dt, series in family for p in series.points]
     return ["lambda", "delta_t", "t", "le", "log_le", "kind"], rows
@@ -123,7 +123,6 @@ def _run_sweep(config: RunConfig) -> tuple[list[str], list[list]]:
         t_star=axes.t_star,
         half_width=axes.half_width,
         window_points=axes.window_points,
-        threads=config.threads,
     )
     table = [[r.lam, r.delta_t, r.le_pulsed, r.le_free, r.ratio] for r in rows]
     return ["lambda", "delta_t", "le_pulsed", "le_free", "ratio"], table
@@ -131,31 +130,25 @@ def _run_sweep(config: RunConfig) -> tuple[list[str], list[list]]:
 
 def oracle_check_suite() -> tuple[list[list], float]:
     """Free and pulsed echo residuals, determinant path vs 2^N oracle."""
-    ts = np.arange(0.0, 10.01, 0.5)
+    ts = np.linspace(0.0, 10.0, 21)
     rows: list[list] = []
-    worst = 0.0
     for n, lam in itertools.product((4, 6), (0.5, 1.0, 1.5)):
         for links in ((1,), tuple(range(1, n + 1))):
             spec = ChainSpec(N=n, lam=lam, epsilon=0.25, links=links)
-            grid = TimeGrid(t_max=10.0, n_points=21)
-            free = echo.loschmidt_free(spec, grid).le
-            free_oracle = np.abs(oracle.amplitude_free(spec, ts)) ** 2
-            diff = float(np.max(np.abs(free - free_oracle)))
-            rows.append(["free", n, lam, 0.25, len(links), None, diff])
-            worst = max(worst, diff)
-            for dt in (0.25, 0.5):
-                sched = PulseSchedule(delta_t=dt)
-                pulsed = echo.loschmidt_pulsed(spec, sched, grid).le
-                pulsed_oracle = np.abs(oracle.amplitude_pulsed(spec, sched, ts)) ** 2
-                diff = float(np.max(np.abs(pulsed - pulsed_oracle)))
-                rows.append(["pulsed", n, lam, 0.25, len(links), dt, diff])
-                worst = max(worst, diff)
-    return rows, worst
+            for _, dt, series in echo.family(spec, (lam,), (0.25, 0.5), ts):
+                amp = (oracle.amplitude_free(spec, ts) if dt is None else
+                       oracle.amplitude_pulsed(spec, PulseSchedule(delta_t=dt), ts))
+                diff = float(np.max(np.abs(series.le - np.abs(amp) ** 2)))
+                rows.append([series.points[0].kind, n, lam, 0.25, len(links), dt, diff])
+    return rows, max(row[-1] for row in rows)
 
 
 def _execute(config: RunConfig) -> int:
-    conv = conventions.ensure(__version__, recalibrate=config.recalibrate)
     out = Path(config.out)
+    if not out.parent.is_dir():  # checked first: a sweep can run for minutes
+        raise ConfigError(f"[run] out = {config.out!r}: "
+                          f"no directory {str(out.parent)!r}")
+    conv = conventions.ensure(__version__)
     extra: dict = {}
     if config.mode == "sweep":
         columns, rows = _run_sweep(config)
@@ -182,7 +175,6 @@ _FLAGS = {
     "--mode": ("run", "mode"),
     "--out": ("run", "out"),
     "--format": ("run", "format"),
-    "--threads": ("run", "threads"),
     "--N": ("spec", "N"),
     "--lambda": ("spec", "lambda"),
     "--epsilon": ("spec", "epsilon"),
@@ -199,8 +191,6 @@ def _add_flags(sub: argparse.ArgumentParser, flags) -> None:
     for flag in flags:
         section, key = _FLAGS[flag]
         sub.add_argument(flag, dest=flag, metavar=key, help=f"overrides [{section}] {key}")
-    sub.add_argument("--recalibrate", action="store_true",
-                     help="force a fresh convention calibration")
 
 
 def _execute_raw(raw: dict[str, dict[str, str]], args: argparse.Namespace) -> int:
@@ -209,8 +199,6 @@ def _execute_raw(raw: dict[str, dict[str, str]], args: argparse.Namespace) -> in
         value = getattr(args, flag, None)
         if value is not None:
             raw.setdefault(section, {})[key] = value
-    if args.recalibrate:
-        raw.setdefault("run", {})["recalibrate"] = "true"
     return _execute(build_run_config(raw))
 
 
@@ -231,14 +219,22 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     conv = conventions.ensure(__version__, recalibrate=args.recalibrate)
     print(f"boundary_sign = {conv.boundary_sign:+d}")
     print(f"det_exponent  = {conv.det_exponent}")
-    if conv.max_residual is not None:
-        print(f"max residual vs oracle = {conv.max_residual:.3e}")
+    print(f"max residual vs oracle = {conv.max_residual:.3e}")
     print(f"source = {conv.source}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the configuration-error code; argparse's own 2
+    is bbecho's code for a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bbecho",
         description="Loschmidt echo of a qubit under bang-bang control "
                     "against a transverse-field Ising bath",
@@ -253,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pre = sub.add_parser("preset", help="run a named figure preset")
     pre.add_argument("name", help="fig1 | fig2 | fig3 | fig4")
-    _add_flags(pre, ("--out", "--threads", "--format"))
+    _add_flags(pre, ("--out", "--format"))
     pre.set_defaults(func=_cmd_preset)
 
     chk = sub.add_parser("check", help="compare against the exact-diagonalization oracle")

@@ -42,14 +42,10 @@ class RunConfig:
     axes: Optional[SweepAxes] = None
     out: str = "bbecho-out.csv"
     fmt: str = "csv"
-    threads: int = 1
-    recalibrate: bool = False
 
     def validated(self) -> "RunConfig":
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}; choose csv or json")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         for section in _MODES[self.mode][0]:
             if getattr(self, section) is None:
                 raise ConfigError(f"mode {self.mode} needs a [{section}] section")
@@ -78,23 +74,12 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("expected true or false")
-
-
 # (section, key) -> (record field, parser). [run] keys are RunConfig fields;
 # every other section builds the record in _RECORDS.
 _KEYS = {
     ("run", "mode"): ("mode", str),
     ("run", "out"): ("out", str),
     ("run", "format"): ("fmt", str),
-    ("run", "threads"): ("threads", int),
-    ("run", "recalibrate"): ("recalibrate", _parse_bool),
     ("spec", "N"): ("N", int),
     ("spec", "J"): ("J", float),
     ("spec", "lambda"): ("lam", float),

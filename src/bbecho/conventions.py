@@ -36,13 +36,8 @@ _STATE_FILE = "calibration.json"
 class Conventions:
     boundary_sign: int
     det_exponent: int
-    max_residual: float | None = None
-    source: str = "frozen"
-
-
-def frozen() -> Conventions:
-    """The compiled-in convention pair."""
-    return Conventions(BOUNDARY_SIGN, DET_EXPONENT, None, "frozen")
+    max_residual: float
+    source: str
 
 
 def state_dir() -> Path:

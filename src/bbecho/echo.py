@@ -44,7 +44,6 @@ together (both as dt^2) but does not shrink their ratio.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
@@ -65,8 +64,6 @@ class EchoPoint:
 
 @dataclass(frozen=True)
 class EchoSeries:
-    spec: ChainSpec
-    schedule: Optional[PulseSchedule]
     points: tuple[EchoPoint, ...]
 
     @property
@@ -107,8 +104,7 @@ def _log_det(left: np.ndarray, phases: np.ndarray, right: np.ndarray) -> float:
     return float(np.linalg.slogdet((left * phases) @ right)[1])
 
 
-def _series(spec: ChainSpec, schedule: Optional[PulseSchedule], ts: np.ndarray,
-            log_dets: Sequence[float], kind: str) -> EchoSeries:
+def _series(ts: np.ndarray, log_dets: Sequence[float], kind: str) -> EchoSeries:
     """Echo points from log|det|; t = 0 is exactly one on every route."""
     points = []
     for t, log_abs in zip(ts, log_dets):
@@ -117,7 +113,7 @@ def _series(spec: ChainSpec, schedule: Optional[PulseSchedule], ts: np.ndarray,
         value = math.exp(log_abs) if log_abs > -745.0 else 0.0
         points.append(EchoPoint(t=float(t), le=value ** DET_EXPONENT,
                                 log_le=DET_EXPONENT * log_abs, kind=kind))
-    return EchoSeries(spec=spec, schedule=schedule, points=tuple(points))
+    return EchoSeries(points=tuple(points))
 
 
 def _free_log_dets(data: _BranchData, ts: np.ndarray) -> list[float]:
@@ -163,7 +159,7 @@ def _pulsed_log_dets(data: _BranchData, dt: float, ts: np.ndarray) -> list[float
 def loschmidt_free(spec: ChainSpec, grid: TimeGrid) -> EchoSeries:
     """Echo without control: |<G| e^{+iC_up t} e^{-iC_down t} ...>| determinant."""
     ts = grid.times()
-    return _series(spec, None, ts, _free_log_dets(_BranchData(spec), ts), "free")
+    return _series(ts, _free_log_dets(_BranchData(spec), ts), "free")
 
 
 def loschmidt_pulsed(spec: ChainSpec, schedule: PulseSchedule,
@@ -171,7 +167,7 @@ def loschmidt_pulsed(spec: ChainSpec, schedule: PulseSchedule,
     """Echo under the ideal-kick pulse train."""
     ts = grid.times(schedule)
     log_dets = _pulsed_log_dets(_BranchData(spec), schedule.delta_t, ts)
-    return _series(spec, schedule, ts, log_dets, "pulsed")
+    return _series(ts, log_dets, "pulsed")
 
 
 @dataclass(frozen=True)
@@ -210,7 +206,7 @@ def loschmidt_effective(spec: ChainSpec, schedule: PulseSchedule,
     left = _BranchData(spec).occupied.T @ vecs
     ts = grid.times(schedule)
     log_dets = [_log_det(left, np.exp(1j * evals * t), left.conj().T) for t in ts]
-    return _series(spec, schedule, ts, log_dets, "effective")
+    return _series(ts, log_dets, "effective")
 
 
 def coherence_offdiagonal(qubit: QubitSpec, d_complex: complex, t: float) -> complex:
@@ -249,30 +245,18 @@ class SweepRow:
 
 
 def family(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
-           ts: np.ndarray, threads: int = 1) -> Iterator[tuple]:
+           ts: np.ndarray) -> Iterator[tuple]:
     """Echo series (lam, dt, series) at the ascending times ts, lam outer.
 
     Per field, one _BranchData serves the uncontrolled series, yielded
     first with dt None, and then one pulsed series per interval in the
-    order of delta_ts. Each pulsed series is an independent pure
-    computation over that shared data; threads > 1 computes those of one
-    field in parallel.
+    order of delta_ts.
     """
     for lam in lambdas:
-        spec_l = replace(spec, lam=lam)
-        data = _BranchData(spec_l)
-        yield lam, None, _series(spec_l, None, ts, _free_log_dets(data, ts), "free")
-
-        def pulsed(dt: float) -> EchoSeries:
-            return _series(spec_l, PulseSchedule(delta_t=dt), ts,
-                           _pulsed_log_dets(data, dt, ts), "pulsed")
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                series = list(pool.map(pulsed, delta_ts))
-        else:
-            series = [pulsed(dt) for dt in delta_ts]
-        yield from ((lam, dt, one) for dt, one in zip(delta_ts, series))
+        data = _BranchData(replace(spec, lam=lam))
+        yield lam, None, _series(ts, _free_log_dets(data, ts), "free")
+        for dt in delta_ts:
+            yield lam, dt, _series(ts, _pulsed_log_dets(data, dt, ts), "pulsed")
 
 
 def sweep(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
@@ -284,8 +268,13 @@ def sweep(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
     window-averaged pulsed echo, the uncontrolled echo (computed once per
     lam), and their ratio. The ratio is None where the uncontrolled echo
     is below 1e-14 (deep decay, meaningless division). The series are
-    those of family, on the window grid, with the same threads.
+    those of family, on the window grid. threads must be 1: the series
+    are computed in one loop, and the parameter is kept only for callers
+    that still pass it.
     """
+    if threads != 1:
+        raise SpecError(f"sweep computes in one thread; threads={threads!r} "
+                        "is not supported")
     lambdas = list(lambdas)
     delta_ts = list(delta_ts)
     if not lambdas or not delta_ts:
@@ -297,10 +286,9 @@ def sweep(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
     window = np.linspace(t_star - half_width, t_star + half_width, window_points)
     if window[0] < 0:
         raise SpecError("averaging window extends below t = 0")
-    ts = np.concatenate(([0.0], window)) if window[0] > 0 else window
 
     rows: list[SweepRow] = []
-    for lam, dt, series in family(spec, lambdas, delta_ts, ts, threads):
+    for lam, dt, series in family(spec, lambdas, delta_ts, window):
         average = time_average(series, t_star, half_width)
         if dt is None:
             le_free = average

@@ -152,20 +152,19 @@ class QubitSpec:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Ideal-kick pulse train: instantaneous qubit flips every delta_t."""
+    """Ideal-kick pulse train: instantaneous qubit flips every delta_t.
+
+    A +x and a -x kick give both branches the same phase, so the kick
+    sign is not a field.
+    """
 
     delta_t: float
-    kick_sign: int = 1
 
     def __post_init__(self):
         dt = float(self.delta_t)
         if not math.isfinite(dt) or dt <= 0:
             raise SpecError(f"delta_t must be positive, got {dt!r}")
         object.__setattr__(self, "delta_t", dt)
-        sign = _as_int("kick_sign", self.kick_sign)
-        if sign not in (-1, 1):
-            raise SpecError(f"kick_sign must be +1 or -1, got {sign}")
-        object.__setattr__(self, "kick_sign", sign)
 
 
 @dataclass(frozen=True)

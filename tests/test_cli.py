@@ -69,7 +69,9 @@ class TestConfigParsing:
         ("[qubit]\nomega0 = 1.0\n", "unknown config section"),
         ("[schedule]\ndelta_t = 0.5\nkick_sign = -1\n", "unknown key 'kick_sign'"),
         ("[spec]\nN = 4\nboundary_sign = 1\n", "unknown key 'boundary_sign'"),
-    ], ids=["qubit", "kick_sign", "boundary_sign"])
+        ("[run]\nthreads = 2\n", "unknown key 'threads'"),
+        ("[run]\nrecalibrate = true\n", "unknown key 'recalibrate'"),
+    ], ids=["qubit", "kick_sign", "boundary_sign", "threads", "recalibrate"])
     def test_dropped_keys_rejected(self, tmp_path, text, message):
         path = _write_config(tmp_path, text)
         with pytest.raises(ConfigError, match=message):
@@ -142,18 +144,10 @@ class TestPresets:
                 "t_star = 2.0\nhalf_width = 1.0\nwindow_points = 11\n")
         monkeypatch.setitem(config_mod._PRESETS, "tiny", tiny)
         out = tmp_path / "tiny.csv"
-        assert main(["preset", "tiny", "--out", str(out), "--threads", "2"]) == 0
+        assert main(["preset", "tiny", "--out", str(out)]) == 0
         header, rows = _read_csv(out)
         assert header[0] == "lambda" and len(rows) == 2
         assert (tmp_path / "tiny.meta.json").exists()
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_preset_rejects_bad_threads(self, state_dir, tmp_path, capsys, threads):
-        out = tmp_path / "x.csv"
-        assert main(["preset", "fig1", "--out", str(out), "--threads", threads]) == 1
-        err = capsys.readouterr().err
-        assert "config error: threads must be >= 1" in err and "Traceback" not in err
-        assert not out.exists() and not (tmp_path / "x.meta.json").exists()
 
 
 class TestRunCommand:
@@ -200,8 +194,7 @@ class TestRunCommand:
         out = tmp_path / "sweep.csv"
         code = main(["run", "--mode", "sweep", "--N", "6", "--lambda", "1.0",
                      "--epsilon", "0.25", "--links", "1", "--dt", "0.4",
-                     "--tstar", "2.0", "--halfwidth", "1.0", "--threads", "2",
-                     "--out", str(out)])
+                     "--tstar", "2.0", "--halfwidth", "1.0", "--out", str(out)])
         assert code == 0
         header, rows = _read_csv(out)
         assert header == ["lambda", "delta_t", "le_pulsed", "le_free", "ratio"]
@@ -275,13 +268,12 @@ class TestRunCommand:
         assert {r[1] for r in rows if r[5] == "pulsed"} == {"0.5"}
         assert {r[1] for r in rows if r[5] == "free"} == {""}
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_family_rows_equal_series(self, state_dir, tmp_path, threads):
+    def test_family_rows_equal_series(self, state_dir, tmp_path):
         out = tmp_path / "family.csv"
         ini = (FREE_INI.format(out=out).replace("epsilon = 0.0", "epsilon = 0.25")
                + "\n[axes]\nlambdas = 0.5, 1.5\ndelta_ts = 0.3, 0.7\n")
         assert main(["run", "--config", str(_write_config(tmp_path, ini)),
-                     "--mode", "pulsed", "--threads", threads]) == 0
+                     "--mode", "pulsed"]) == 0
         _, rows = _read_csv(out)
         grid = TimeGrid(t_max=5.0, n_points=11)
         expected = []
@@ -311,9 +303,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("key, bad, named", [
         ("N = 8", "N = 4.5", "[spec] N = '4.5': "),
-        ("mode = free", "mode = free\nthreads = two", "[run] threads = 'two': "),
+        ("points = 11", "points = eleven", "[grid] points = 'eleven': "),
         ("epsilon = 0.0", "epsilon = 0.o", "[spec] epsilon = '0.o': "),
-    ], ids=["N", "threads", "epsilon"])
+    ], ids=["N", "points", "epsilon"])
     def test_malformed_number_is_config_error(self, state_dir, tmp_path, capsys,
                                               key, bad, named):
         ini = FREE_INI.format(out=tmp_path / "x.csv").replace(key, bad)
@@ -323,8 +315,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--N", "4.5"], "config error: [spec] N = '4.5': "),
-        (["preset", "fig1", "--threads", "two"], "config error: [run] threads = 'two': "),
-    ], ids=["run-N", "preset-threads"])
+        (["run", "--mode", "free", "--points", "two"],
+         "config error: [grid] points = 'two': "),
+    ], ids=["run-N", "run-points"])
     def test_malformed_flag_is_config_error(self, state_dir, tmp_path, capsys,
                                             argv, message):
         out = tmp_path / "x.csv"
@@ -332,6 +325,47 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["preset", "fig1", "--threads", "2"],
+        ["run", "--threads", "2"],
+        ["run", "--recalibrate"],
+        ["check", "--recalibrate"],
+        ["run", "--foo", "1"],
+        [],
+    ], ids=["preset-threads", "run-threads", "run-recalibrate", "check-recalibrate",
+            "run-foo", "no-verb"])
+    def test_usage_error_exits_1(self, state_dir, tmp_path, capsys, argv):
+        # exit 2 is kept for numerical failures
+        out = tmp_path / "x.csv"
+        argv = argv + ["--out", str(out)] if argv else argv
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "x.meta.json").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_missing_out_directory_refused_before_computing(self, state_dir, tmp_path,
+                                                            capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("the echo ran before the output path was checked")
+
+        monkeypatch.setattr(echo, "loschmidt_free", never)
+        out = tmp_path / "nodir" / "x.csv"
+        path = _write_config(tmp_path, FREE_INI.format(out=out))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [run] out = {str(out)!r}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "nodir").exists()
 
     def test_odd_n_is_config_error(self, state_dir, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -91,11 +91,6 @@ class TestPulseSchedule:
         with pytest.raises(SpecError):
             PulseSchedule(delta_t=dt)
 
-    def test_kick_sign(self):
-        assert PulseSchedule(delta_t=1.0, kick_sign=-1).kick_sign == -1
-        with pytest.raises(SpecError):
-            PulseSchedule(delta_t=1.0, kick_sign=0)
-
 
 class TestTimeGrid:
     def test_uniform_starts_at_zero_strictly_increasing(self):

@@ -19,8 +19,7 @@ def _cases(draw):
     spec = ChainSpec(N=n, lam=draw(st.floats(0.2, 2.0)),
                      epsilon=draw(st.floats(-0.5, 0.5)), links=tuple(links),
                      J=draw(st.floats(0.5, 2.0)))
-    schedule = PulseSchedule(delta_t=draw(st.floats(0.05, 1.5)),
-                             kick_sign=draw(st.sampled_from([1, -1])))
+    schedule = PulseSchedule(delta_t=draw(st.floats(0.05, 1.5)))
     return spec, schedule
 
 
