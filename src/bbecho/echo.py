@@ -1,11 +1,20 @@
 """Loschmidt echo series: free decay, bang-bang pulsed, and effective theory.
 
-Every echo point is one determinant of the freefermion module taken over
-the occupied subspace, |det(W^T S W)| for the propagator string S, with
-W the N filled modes of the up branch. The module works in the up-branch
-eigenbasis, where W picks the first N modes and the down branch enters
-through K = V_up^T V_down, formed once per spec. Each route writes its
-N x N matrix as L diag(phases) R, L of size N x 2N and R of size 2N x N:
+The free and pulsed echo of a spec take one of two exact routes, picked
+by ``route`` from the spec alone. A spin star (every site linked) with
+even N on the calibrated antiperiodic boundary takes the momentum route,
+spinstar.log_echo: N/2 independent 2x2 pair problems, O(N) per point
+whatever the number of pulse cycles. Every other spec takes the
+determinant route below, as do the effective theory and the convention
+calibration for every spec.
+
+On the determinant route every echo point is one determinant of the
+freefermion module taken over the occupied subspace, |det(W^T S W)| for
+the propagator string S, with W the N filled modes of the up branch. The
+module works in the up-branch eigenbasis, where W picks the first N
+modes and the down branch enters through K = V_up^T V_down, formed once
+per spec. Each string writes its N x N matrix as L diag(phases) R, L of
+size N x 2N and R of size 2N x N:
 
     free:       L = K[:N],       phases e^{-iE_down t},  R = L^T
     effective:  L = W^T V_eff,   phases e^{+iE_eff t},   R = L^H
@@ -45,11 +54,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import freefermion
+from . import freefermion, spinstar
 from .conventions import DET_EXPONENT
 from .model import ChainSpec, PulseSchedule, QubitSpec, SpecError, TimeGrid
 
@@ -156,18 +165,37 @@ def _pulsed_log_dets(data: _BranchData, dt: float, ts: np.ndarray) -> list[float
     return log_dets
 
 
+def route(spec: ChainSpec) -> str:
+    """The route of spec's free and pulsed echo: "momentum" for a spin star
+    with even N on the antiperiodic boundary, else "determinant"."""
+    if spec.is_spin_star and spec.N % 2 == 0 and spec.boundary_sign == -1:
+        return "momentum"
+    return "determinant"
+
+
+def _log_dets(spec: ChainSpec) -> Callable[..., list[float]]:
+    """log|det| at times ts on spec's route, as f(ts) free or f(ts, dt) pulsed.
+
+    The momentum route's log L is that log|det|, since DET_EXPONENT is 1.
+    """
+    if route(spec) == "momentum":
+        return lambda ts, dt=None: spinstar.log_echo(spec, ts, dt).tolist()
+    data = _BranchData(spec)
+    return lambda ts, dt=None: (_free_log_dets(data, ts) if dt is None
+                                else _pulsed_log_dets(data, dt, ts))
+
+
 def loschmidt_free(spec: ChainSpec, grid: TimeGrid) -> EchoSeries:
-    """Echo without control: |<G| e^{+iC_up t} e^{-iC_down t} ...>| determinant."""
+    """Echo without control: |<G| e^{+iH_up t} e^{-iH_down t} |G>|^2."""
     ts = grid.times()
-    return _series(ts, _free_log_dets(_BranchData(spec), ts), "free")
+    return _series(ts, _log_dets(spec)(ts), "free")
 
 
 def loschmidt_pulsed(spec: ChainSpec, schedule: PulseSchedule,
                      grid: TimeGrid) -> EchoSeries:
     """Echo under the ideal-kick pulse train."""
     ts = grid.times(schedule)
-    log_dets = _pulsed_log_dets(_BranchData(spec), schedule.delta_t, ts)
-    return _series(ts, log_dets, "pulsed")
+    return _series(ts, _log_dets(spec)(ts, schedule.delta_t), "pulsed")
 
 
 @dataclass(frozen=True)
@@ -248,15 +276,15 @@ def family(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
            ts: np.ndarray) -> Iterator[tuple]:
     """Echo series (lam, dt, series) at the ascending times ts, lam outer.
 
-    Per field, one _BranchData serves the uncontrolled series, yielded
-    first with dt None, and then one pulsed series per interval in the
-    order of delta_ts.
+    Per field, one set-up of the route serves the uncontrolled series,
+    yielded first with dt None, and then one pulsed series per interval
+    in the order of delta_ts.
     """
     for lam in lambdas:
-        data = _BranchData(replace(spec, lam=lam))
-        yield lam, None, _series(ts, _free_log_dets(data, ts), "free")
+        log_dets = _log_dets(replace(spec, lam=lam))
+        yield lam, None, _series(ts, log_dets(ts), "free")
         for dt in delta_ts:
-            yield lam, dt, _series(ts, _pulsed_log_dets(data, dt, ts), "pulsed")
+            yield lam, dt, _series(ts, log_dets(ts, dt), "pulsed")
 
 
 def sweep(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],

@@ -367,6 +367,32 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "nodir").exists()
 
+    def test_out_directory_refused_before_computing(self, state_dir, tmp_path,
+                                                    capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("the echo ran before the output path was checked")
+
+        monkeypatch.setattr(echo, "loschmidt_free", never)
+        out = tmp_path / "adir"
+        out.mkdir()
+        path = _write_config(tmp_path, FREE_INI.format(out=out))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [run] out = {str(out)!r}: ")
+        assert "Traceback" not in err and not (tmp_path / "adir.meta.json").exists()
+
+    @pytest.mark.parametrize("links, route", [("1", "determinant"), ("all", "momentum")])
+    @pytest.mark.parametrize("mode, extra", [
+        ("free", GRID_FLAGS),
+        ("pulsed", GRID_FLAGS + ["--dt", "0.3"]),
+        ("sweep", WINDOW_FLAGS),
+    ], ids=["free", "pulsed", "sweep"])
+    def test_sidecar_records_route(self, state_dir, tmp_path, mode, extra, links, route):
+        out = tmp_path / "x.csv"
+        argv = ["run", "--mode", mode, *SPEC_FLAGS, *extra, "--out", str(out)]
+        assert main([*argv, "--links", links]) == 0
+        assert json.loads((tmp_path / "x.meta.json").read_text())["route"] == route
+
     def test_odd_n_is_config_error(self, state_dir, tmp_path, capsys):
         out = tmp_path / "x.csv"
         ini = FREE_INI.format(out=out).replace("N = 8", "N = 7")
@@ -462,6 +488,18 @@ class TestCheckAndCalibrate:
         header, rows = _read_csv(out)
         assert header[0] == "check"
         assert max(float(r[-1]) for r in rows) <= 1e-8
+
+    def test_check_fails_on_nan_residual(self, state_dir, tmp_path, capsys,
+                                         monkeypatch):
+        from bbecho import oracle
+
+        assert main(["calibrate"]) == 0  # the calibration reads the oracle too
+        monkeypatch.setattr(oracle, "amplitude_free",
+                            lambda spec, ts: np.full(len(ts), np.nan + 0j))
+        assert main(["check", "--out", str(tmp_path / "check.csv")]) == 2
+        assert "oracle check FAILED" in capsys.readouterr().err
+        sidecar = json.loads((tmp_path / "check.meta.json").read_text())
+        assert sidecar["oracle_check"]["max_abs_diff"] is None
 
     def test_calibrate_caches_result(self, state_dir, capsys):
         assert main(["calibrate"]) == 0

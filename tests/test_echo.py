@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bbecho import echo, oracle
+from bbecho import echo, oracle, spinstar
 from bbecho.echo import (EchoPoint, EchoSeries, coherence_offdiagonal,
                          effective_bdg, loschmidt_effective, loschmidt_free,
                          loschmidt_pulsed, sweep, time_average)
@@ -157,6 +159,126 @@ class TestOccupiedSubspaceKernel:
                 value, log_value = gaussian_overlap(r, string(p.t))
                 assert abs(p.le - value) <= 1e-10
                 assert abs(p.log_le - log_value) <= 1e-10
+
+
+def _pair_reference(spec, dt, ts):
+    """log L of a spin star from explicit 2x2 pair matrices, per mode the
+    branch strings of oracle.amplitude_pulsed, with the cycle power taken
+    by binary powering (np.linalg.matrix_power)."""
+    q = (2 * np.arange(spec.N // 2) + 1) * np.pi / spec.N
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+
+    def h(lam):
+        return 2 * spec.J * ((lam - np.cos(q))[:, None, None] * sz
+                             + np.sin(q)[:, None, None] * sy)
+
+    def u(e_v, t):
+        e, v = e_v
+        return (v * np.exp(-1j * e * t)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+    up = np.linalg.eigh(h(spec.lam))
+    down = np.linalg.eigh(h(spec.lam + spec.epsilon / spec.J))
+    g = up[1][:, :, 0]
+    out = []
+    for t in ts:
+        m = int(np.floor(t / (2 * dt) + 1e-12))
+        t_res = t - 2 * m * dt
+        a = np.linalg.matrix_power(u(down, dt) @ u(up, dt), m)
+        b = np.linalg.matrix_power(u(up, dt) @ u(down, dt), m)
+        if t_res < dt:
+            a, b = u(up, t_res) @ a, u(down, t_res) @ b
+        else:
+            s = t_res - dt
+            a, b = u(down, s) @ u(up, dt) @ a, u(up, s) @ u(down, dt) @ b
+        amp = np.einsum("qi,qij,qj->q", g.conj(), a.conj().transpose(0, 2, 1) @ b, g)
+        out.append(float(np.sum(np.log(np.abs(amp) ** 2))))
+    return np.array(out)
+
+
+class TestMomentumRoute:
+    """The spin-star momentum route against the determinant route and 2x2 pairs."""
+
+    @pytest.mark.parametrize("n", [8, 100, 300])
+    def test_matches_determinant_route(self, n):
+        # a 1/12 grid step puts points in both residual branches at every dt
+        grid = TimeGrid(t_max=1.5, n_points=19)
+        ts = grid.times()
+        for lam in (0.5, 1.0, 1.5):
+            spec = ChainSpec.spin_star(N=n, lam=lam, epsilon=0.25)
+            assert echo.route(spec) == "momentum"
+            data = echo._BranchData(spec)
+            pairs = [(loschmidt_free(spec, grid), echo._free_log_dets(data, ts))]
+            for dt in (0.05, 0.3, 1.0):
+                t_res = ts - 2 * dt * np.floor(ts / (2 * dt) + 1e-12)
+                assert np.any(t_res < dt) and np.any(t_res >= dt)
+                pairs.append((loschmidt_pulsed(spec, PulseSchedule(delta_t=dt), grid),
+                              echo._pulsed_log_dets(data, dt, ts)))
+            for series, log_dets in pairs:
+                det = echo._series(ts, log_dets, series.points[0].kind)
+                assert np.max(np.abs(series.log_le - det.log_le)) <= 1e-10
+                assert np.max(np.abs(series.le - det.le)) <= 1e-10
+
+    def test_determinant_route_still_matches_oracle(self):
+        # the kernel the spin star no longer takes stays exact on it
+        spec = ChainSpec.spin_star(N=6, lam=0.7, epsilon=0.25, J=1.3)
+        ts = np.linspace(0.0, 10.0, 101)
+        data = echo._BranchData(spec)
+        free = np.exp(echo._free_log_dets(data, ts))
+        assert np.max(np.abs(free - np.abs(oracle.amplitude_free(spec, ts)) ** 2)) <= 1e-8
+        schedule = PulseSchedule(delta_t=0.7)
+        pulsed = np.exp(echo._pulsed_log_dets(data, schedule.delta_t, ts))
+        expected = np.abs(oracle.amplitude_pulsed(spec, schedule, ts)) ** 2
+        assert np.max(np.abs(pulsed - expected)) <= 1e-8
+
+    def test_route_is_picked_from_the_spec(self, monkeypatch):
+        built = []
+        real = echo._BranchData
+
+        def recording(spec):
+            built.append(spec)
+            return real(spec)
+
+        def refuse(spec):
+            raise AssertionError(f"_BranchData built for {spec}")
+
+        grid, schedule = TimeGrid(t_max=2.0, n_points=5), PulseSchedule(delta_t=0.3)
+        star = ChainSpec.spin_star(N=6, lam=0.5, epsilon=0.25)
+        monkeypatch.setattr(echo, "_BranchData", refuse)
+        loschmidt_free(star, grid)
+        loschmidt_pulsed(star, schedule, grid)
+        list(echo.family(star, [0.5, 1.5], [0.3], grid.times()))
+        sweep(star, lambdas=[1.0], delta_ts=[0.3], t_star=1.0, half_width=0.5,
+              window_points=5)
+
+        monkeypatch.setattr(echo, "_BranchData", recording)
+        for spec in (_spec(N=6, lam=0.5), replace(star, boundary_sign=1)):
+            assert echo.route(spec) == "determinant"
+            built.clear()
+            loschmidt_free(spec, grid)
+            loschmidt_pulsed(spec, schedule, grid)
+            assert built == [spec, spec]
+        odd = ChainSpec.spin_star(N=5, lam=0.5, epsilon=0.25)
+        assert echo.route(odd) == "determinant"
+        built.clear()
+        with pytest.raises(SpecError, match="even N"):
+            loschmidt_free(odd, grid)
+        assert built == [odd]
+
+    def test_long_train_power_matches_binary_powering(self):
+        # about 10^4 cycles at dt = 0.05; points in both residual branches
+        spec = ChainSpec.spin_star(N=100, lam=1.0, epsilon=0.25)
+        dt = 0.05
+        ts = np.array([0.0, 999.93, 999.97, 1000.02, 1000.08])
+        (_, _, _), (_, _, series) = echo.family(spec, [spec.lam], [dt], ts)
+        expected = _pair_reference(spec, dt, ts)
+        assert np.max(np.abs(series.log_le[1:] - expected[1:])) <= 1e-10
+
+    def test_refuses_other_specs(self):
+        with pytest.raises(SpecError, match="spin-star"):
+            spinstar.log_echo(_spec(N=6), [1.0])
+        with pytest.raises(SpecError, match="even"):
+            spinstar.log_echo(ChainSpec.spin_star(N=5, lam=1.0, epsilon=0.1), [1.0])
 
 
 class TestEffectiveGenerator:

@@ -1,15 +1,26 @@
-"""Property test: the determinant echo against the 2^N oracle on drawn specs.
+"""Property tests: the echo routes against the 2^N oracle on drawn specs.
 
-Odd N is left out: the determinant route is not exact there yet.
+Drawn link sets rarely cover every site, so spin stars, which take the
+momentum route, are drawn on their own. Odd N is left out: the echo
+routes refuse it.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbecho.echo import loschmidt_free, loschmidt_pulsed
+from bbecho.echo import loschmidt_free, loschmidt_pulsed, route
 from bbecho.model import ChainSpec, PulseSchedule, TimeGrid
 from bbecho.oracle import amplitude_free, amplitude_pulsed
+
+
+def _assert_matches_oracle(spec, schedule):
+    grid = TimeGrid(t_max=5.0, n_points=11)
+    ts = grid.times()
+    free = np.abs(amplitude_free(spec, ts)) ** 2
+    pulsed = np.abs(amplitude_pulsed(spec, schedule, ts)) ** 2
+    assert np.max(np.abs(loschmidt_free(spec, grid).le - free)) <= 1e-8
+    assert np.max(np.abs(loschmidt_pulsed(spec, schedule, grid).le - pulsed)) <= 1e-8
 
 
 @st.composite
@@ -23,13 +34,25 @@ def _cases(draw):
     return spec, schedule
 
 
+@st.composite
+def _star_cases(draw):
+    spec = ChainSpec.spin_star(N=draw(st.sampled_from([2, 4, 6, 8])),
+                               lam=draw(st.floats(0.2, 2.0)),
+                               epsilon=draw(st.floats(-0.5, 0.5)),
+                               J=draw(st.floats(0.5, 2.0).filter(lambda j: j != 1.0)))
+    schedule = PulseSchedule(delta_t=draw(st.floats(0.05, 1.5)))
+    return spec, schedule
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(_cases())
 def test_determinant_echo_matches_oracle(case):
+    _assert_matches_oracle(*case)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_star_cases())
+def test_spin_star_momentum_echo_matches_oracle(case):
     spec, schedule = case
-    grid = TimeGrid(t_max=5.0, n_points=11)
-    ts = grid.times()
-    free = np.abs(amplitude_free(spec, ts)) ** 2
-    pulsed = np.abs(amplitude_pulsed(spec, schedule, ts)) ** 2
-    assert np.max(np.abs(loschmidt_free(spec, grid).le - free)) <= 1e-8
-    assert np.max(np.abs(loschmidt_pulsed(spec, schedule, grid).le - pulsed)) <= 1e-8
+    assert route(spec) == "momentum"
+    _assert_matches_oracle(spec, schedule)

@@ -159,3 +159,22 @@ class TestCrossPathConsistency:
         for point in series.points:
             closed = amplitude_closed_form(spec.N, eps_eff, point.t) ** 2
             assert abs(point.le - closed) <= 1e-10
+
+
+class TestPairPower:
+    @pytest.mark.parametrize("theta", [1e-7, 1e-3, 0.5, np.pi - 1e-5])
+    def test_power_keeps_small_angles(self, theta):
+        # x = cos(th) 1 - i sin(th) n.sigma, so x^m is the same with m th;
+        # an angle taken from arccos(Re a) would be off by 1e-16 / sin(th)
+        # and miss by m times that
+        from bbecho.spinstar import _power
+
+        def su2(angle):
+            n_x, n_y, n_z = 0.48, 0.6, 0.64
+            s = np.sin(angle)
+            return (np.array([np.cos(angle) - 1j * s * n_z]),
+                    np.array([-1j * s * n_x - s * n_y]))
+
+        m = np.array([[10 ** 6]])
+        for got, want in zip(_power(su2(theta), m), su2(10 ** 6 * theta)):
+            assert np.max(np.abs(got - want)) <= 1e-8
