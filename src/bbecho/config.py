@@ -113,7 +113,9 @@ _MODES = {
     "free": (("spec", "grid"), _reads("spec", "grid", "axes lambdas")),
     "pulsed": (("spec", "grid"), _reads(*_SPEC_DT_GRID, "axes lambdas", "axes delta_ts")),
     "effective": (_SPEC_DT_GRID, _reads(*_SPEC_DT_GRID)),
-    "spinstar-analytic": (_SPEC_DT_GRID, _reads(*_SPEC_DT_GRID)),
+    # the cosine product depends on N, epsilon, J and delta_t, not lambda
+    "spinstar-analytic": (_SPEC_DT_GRID, _reads("spec N", "spec J", "spec epsilon",
+                                                "spec links", "schedule", "grid")),
     "oracle-check": ((), _reads()),
     "sweep": (("spec", "axes"), _reads("spec", "schedule", "axes")),
 }
@@ -149,8 +151,12 @@ def read_config_file(path: str) -> dict[str, dict[str, str]]:
     return _read_ini(text, path)
 
 
-def _section(section: str, values: dict[str, str]):
-    """RunConfig keyword arguments for [run], else the section's record."""
+def _section(section: str, values: dict[str, str], reads: frozenset):
+    """RunConfig keyword arguments for [run], else the section's record.
+
+    A required field whose key the mode does not read is set to 0.0, a
+    value no output of the mode sees (spinstar-analytic's lambda).
+    """
     kwargs = {}
     for key, text in values.items():
         field, parse = _KEYS[section, key]
@@ -164,6 +170,9 @@ def _section(section: str, values: dict[str, str]):
     required = {f.name for f in fields(record) if f.default is MISSING}
     for (sec, key), (field, _) in _KEYS.items():
         if sec == section and field in required and field not in kwargs:
+            if (sec, key) not in reads:
+                kwargs[field] = 0.0
+                continue
             raise ConfigError(f"[{section}] is missing key {key!r}")
     if kwargs.get("links") == "all":
         kwargs["links"] = tuple(range(1, kwargs["N"] + 1))
@@ -189,7 +198,8 @@ def build_run_config(raw: dict[str, dict[str, str]]) -> RunConfig:
                 raise ConfigError(f"[{section}] {key} is not read by mode {mode}")
         if section not in {sec for sec, _ in reads}:
             raise ConfigError(f"[{section}] is not read by mode {mode}")
-    parts = {section: _section(section, values) for section, values in raw.items()}
+    parts = {section: _section(section, values, reads)
+             for section, values in raw.items()}
     config = RunConfig(**parts.pop("run", {}), **parts).validated()
     if config.axes is not None:  # free has no schedule and keeps delta_ts None
         axes, schedule = config.axes, config.schedule
@@ -199,11 +209,12 @@ def build_run_config(raw: dict[str, dict[str, str]]) -> RunConfig:
 
 
 def config_as_dict(config: RunConfig) -> dict:
-    """JSON-ready snapshot of a resolved configuration, laid out as _KEYS."""
+    """JSON-ready snapshot of the keys the mode reads, laid out as _KEYS."""
     out: dict = {}
+    reads = _MODES[config.mode][1]
     for (section, key), (field, _) in _KEYS.items():
         record = config if section == "run" else getattr(config, section)
-        if record is None:
+        if record is None or (section, key) not in reads:
             continue
         value = getattr(record, field)
         target = out if section == "run" else out.setdefault(section, {})

@@ -10,6 +10,13 @@ N <= 14.
 
 This is also the only source of the complex amplitude D(t); the
 determinant path yields its magnitude squared only.
+
+The two branch decompositions of the last spec are kept for the next
+call, so the free and pulsed amplitudes of one spec share one pair of
+eigh calls. Only one spec is held, and it is dropped before the next
+spec's pair is built: at N = 10 a pair is 16 MB, and building the new
+pair while the old one is alive would raise the peak memory of a run
+over many specs by that much.
 """
 
 from __future__ import annotations
@@ -114,7 +121,11 @@ def ground_magnetization(spec: ChainSpec) -> np.ndarray:
 
 
 class _Spectral:
-    """Eigen-decomposed branch pair; decompose once, reuse over a grid."""
+    """Eigen-decomposed branch pair; decompose once, reuse over a grid.
+
+    The last one built is held by ``_spectral`` for the next call on the
+    same spec, and dropped before another spec's pair is built.
+    """
 
     def __init__(self, spec: ChainSpec):
         hu = build_hamiltonian(spec, "up")
@@ -122,24 +133,44 @@ class _Spectral:
         self.eu, self.vu = np.linalg.eigh(hu.matrix)
         self.ed, self.vd = np.linalg.eigh(hd.matrix)
         _check_gap(self.eu)
-        self.g = self.vu[:, 0].astype(complex)
+        self.g = self.vu[:, 0]
 
     def evolve(self, branch: str, t: float, state: np.ndarray) -> np.ndarray:
-        """exp(-i H_branch t) applied to state."""
+        """exp(-i H_branch t) applied to state.
+
+        The eigenvectors are real, so they act on the real and imaginary
+        parts apart; a complex product would cast the matrix every call.
+        """
         e, v = (self.eu, self.vu) if branch == "up" else (self.ed, self.vd)
-        return v @ (np.exp(-1j * e * t) * (v.conj().T @ state))
+        c = np.exp(-1j * e * t) * (v.T @ state.real + 1j * (v.T @ state.imag))
+        return v @ c.real + 1j * (v @ c.imag)
+
+
+# (spec, _Spectral) of the last call, at most one entry
+_held: list = []
+
+
+def _spectral(spec: ChainSpec) -> _Spectral:
+    """The branch pair of spec, built only if the held one is another spec's."""
+    if not (_held and _held[0][0] == spec):
+        _held.clear()  # before the build, so two pairs are never alive at once
+        _held.append((spec, _Spectral(spec)))
+    return _held[0][1]
 
 
 def amplitude_free(spec: ChainSpec, ts) -> np.ndarray:
-    """D(t) = <G| e^{+i H_up t} e^{-i H_down t} |G> on a time array."""
-    sp = _Spectral(spec)
+    """D(t) = <G| e^{+i H_up t} e^{-i H_down t} |G> on a time array.
+
+    With G real, D(t) = e^{i E0 t} sum_k w_k e^{-i E^down_k t} and
+    w = (V_down^T G)^2, so a time point costs O(2^N).
+    """
+    sp = _spectral(spec)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     out = np.empty(ts.size, dtype=complex)
-    w = sp.vd.conj().T @ sp.g
+    w = (sp.vd.T @ sp.g) ** 2
     e0 = sp.eu[0]
     for i, t in enumerate(ts):
-        evolved = sp.vd @ (np.exp(-1j * sp.ed * t) * w)
-        out[i] = np.exp(1j * e0 * t) * np.vdot(sp.g, evolved)
+        out[i] = np.exp(1j * e0 * t) * (np.exp(-1j * sp.ed * t) @ w)
     return out
 
 
@@ -152,14 +183,13 @@ def amplitude_pulsed(spec: ChainSpec, schedule: PulseSchedule, ts) -> np.ndarray
     that has been flipped mid-cycle finishes under the other Hamiltonian.
     ts must be sorted ascending (the cycle states advance incrementally).
     """
-    sp = _Spectral(spec)
+    sp = _spectral(spec)
     dt = schedule.delta_t
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(np.diff(ts) < 0):
         raise SpecError("amplitude_pulsed needs ascending times")
     out = np.empty(ts.size, dtype=complex)
-    phi0 = sp.g.copy()
-    phi1 = sp.g.copy()
+    phi0 = phi1 = sp.g
     m_cur = 0
     for i, t in enumerate(ts):
         m = int(math.floor(t / (2.0 * dt) + 1e-12))
@@ -219,25 +249,29 @@ def calibrate_conventions(specs: Sequence[ChainSpec],
     oracle_le = {}
     for spec in specs:
         oracle_le[spec] = np.abs(amplitude_free(spec, ts)) ** 2
+    _held.clear()  # else the suite's last pair stays alive in the process
 
     residuals: dict = {}
     matches = []
-    for bs, p in itertools.product((1, -1), (1, 2)):
-        worst = 0.0
-        for spec in specs:
-            candidate = replace(spec, boundary_sign=bs)
-            try:
-                log_dets = echo._free_log_dets(echo._BranchData(candidate), ts)
-            except freefermion.DegenerateFillingError:
-                # a sector with zero modes cannot even define its filled
-                # sea on this suite; the candidate is out
-                worst = math.inf
-                break
-            det = np.exp(p * np.asarray(log_dets))
-            worst = max(worst, float(np.max(np.abs(det - oracle_le[spec]))))
-        residuals[(bs, p)] = worst
-        if worst <= tol:
-            matches.append((bs, p))
+    for bs in (1, -1):
+        # the exponent only powers the determinant, so each sector's log
+        # determinants are computed once and serve both exponents
+        try:
+            log_dets = [np.asarray(echo._free_log_dets(
+                echo._BranchData(replace(spec, boundary_sign=bs)), ts))
+                for spec in specs]
+        except freefermion.DegenerateFillingError:
+            # a sector with zero modes cannot even define its filled
+            # sea on this suite; the candidate is out
+            log_dets = []
+        for p in (1, 2):
+            worst = 0.0 if log_dets else math.inf
+            for spec, log_det in zip(specs, log_dets):
+                det = np.exp(p * log_det)
+                worst = max(worst, float(np.max(np.abs(det - oracle_le[spec]))))
+            residuals[(bs, p)] = worst
+            if worst <= tol:
+                matches.append((bs, p))
 
     if len(matches) != 1:
         table = ", ".join(

@@ -225,17 +225,31 @@ class TestRunCommand:
     def test_spinstar_analytic_mode(self, state_dir, tmp_path):
         out = tmp_path / "cf.csv"
         code = main(["run", "--mode", "spinstar-analytic", "--N", "8",
-                     "--lambda", "1.0", "--epsilon", "0.01", "--links", "all",
+                     "--epsilon", "0.01", "--links", "all",
                      "--dt", "0.1", "--tmax", "2.0", "--points", "5",
                      "--out", str(out)])
         assert code == 0
         header, rows = _read_csv(out)
         assert all(r[3] == "analytic" for r in rows)
         assert float(rows[0][1]) == 1.0
+        # the cosine product does not depend on the field, so none is recorded
+        sidecar = json.loads((tmp_path / "cf.meta.json").read_text())
+        assert "lambda" not in sidecar["config"]["spec"]
+        assert sidecar["config"]["spec"]["N"] == 8
+
+    def test_spinstar_analytic_refuses_lambda(self, state_dir, tmp_path, capsys):
+        code = main(["run", "--mode", "spinstar-analytic", "--N", "8",
+                     "--lambda", "0.5", "--epsilon", "0.01", "--links", "all",
+                     "--dt", "0.1", "--tmax", "2.0", "--points", "5",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert ("[spec] lambda is not read by mode spinstar-analytic"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_spinstar_analytic_needs_all_links(self, state_dir, tmp_path, capsys):
         code = main(["run", "--mode", "spinstar-analytic", "--N", "8",
-                     "--lambda", "1.0", "--epsilon", "0.01", "--links", "1",
+                     "--epsilon", "0.01", "--links", "1",
                      "--dt", "0.1", "--tmax", "2.0", "--points", "5",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1

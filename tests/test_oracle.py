@@ -1,7 +1,12 @@
+import itertools
+import math
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bbecho import freefermion, oracle
+from bbecho import cli, echo, freefermion, oracle
 from bbecho.echo import loschmidt_free, loschmidt_pulsed
 from bbecho.model import ChainSpec, PulseSchedule, TimeGrid
 from bbecho.oracle import (CalibrationError, DegenerateGroundStateError,
@@ -184,6 +189,116 @@ class TestAmplitudePulsed:
         assert np.max(np.abs(le - le_oracle)) <= 1e-8
 
 
+def _complex_product_pulsed(spec: ChainSpec, dt: float, ts: np.ndarray) -> np.ndarray:
+    """Reference pulsed amplitude: the complex product v (phases * (v^H x)) per step."""
+    eu, vu = np.linalg.eigh(build_hamiltonian(spec, "up").matrix)
+    ed, vd = np.linalg.eigh(build_hamiltonian(spec, "down").matrix)
+
+    def evolve(branch, t, x):
+        e, v = (eu, vu) if branch == "up" else (ed, vd)
+        return v @ (np.exp(-1j * e * t) * (v.conj().T @ x))
+
+    phi0 = phi1 = vu[:, 0].astype(complex)
+    m_cur, out = 0, []
+    for t in ts:
+        m = int(math.floor(t / (2.0 * dt) + 1e-12))
+        for _ in range(m - m_cur):
+            phi0 = evolve("down", dt, evolve("up", dt, phi0))
+            phi1 = evolve("up", dt, evolve("down", dt, phi1))
+        m_cur = m
+        t_res = t - 2.0 * m * dt
+        if t_res < dt:
+            a, b = evolve("up", t_res, phi0), evolve("down", t_res, phi1)
+        else:
+            s = t_res - dt
+            a = evolve("down", s, evolve("up", dt, phi0))
+            b = evolve("up", s, evolve("down", dt, phi1))
+        out.append(np.vdot(a, b))
+    return np.array(out)
+
+
+class TestHeldDecomposition:
+    """amplitude_free and amplitude_pulsed share the last spec's eigh pair."""
+
+    def test_check_suite_decomposes_each_spec_once(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_held", [])
+        built, inits = [], []
+        original_build, original_init = oracle.build_hamiltonian, oracle._Spectral.__init__
+
+        def counting_build(spec, branch):
+            built.append(spec)
+            return original_build(spec, branch)
+
+        def counting_init(self, spec):
+            inits.append(spec)
+            original_init(self, spec)
+
+        monkeypatch.setattr(oracle, "build_hamiltonian", counting_build)
+        monkeypatch.setattr(oracle._Spectral, "__init__", counting_init)
+        rows, _ = cli.oracle_check_suite()
+        # a free and two pulsed rows per spec, but one decomposition
+        assert len(rows) == 36
+        assert len(inits) == len(set(inits)) == 12
+        assert len(built) == 24
+
+    @pytest.mark.parametrize("other", [
+        {"epsilon": 0.4}, {"links": (1, 2, 3, 4, 5, 6)}], ids=["epsilon", "links"])
+    def test_next_spec_gets_its_own_amplitudes(self, monkeypatch, other):
+        a = ChainSpec(N=6, lam=0.8, epsilon=0.25, links=(1,))
+        b = replace(a, **other)
+        schedule, ts = PulseSchedule(delta_t=0.45), np.linspace(0.0, 6.0, 13)
+        monkeypatch.setattr(oracle, "_held", [])
+        fresh = amplitude_free(b, ts), amplitude_pulsed(b, schedule, ts)
+        monkeypatch.setattr(oracle, "_held", [])
+        amplitude_free(a, ts)
+        amplitude_pulsed(a, schedule, ts)
+        np.testing.assert_array_equal(amplitude_free(b, ts), fresh[0])
+        np.testing.assert_array_equal(amplitude_pulsed(b, schedule, ts), fresh[1])
+
+    def test_previous_decomposition_is_released_before_the_next_build(
+            self, monkeypatch):
+        # two pairs alive at once would raise the peak memory of a run
+        monkeypatch.setattr(oracle, "_held", [])
+        a = ChainSpec(N=6, lam=0.8, epsilon=0.25, links=(1,))
+        amplitude_free(a, [0.5])
+        held_a = weakref.ref(oracle._held[0][1])
+        amplitude_free(a, [1.0])
+        assert held_a() is oracle._held[0][1]
+        alive_at_build = []
+        original = oracle.build_hamiltonian
+
+        def recording(spec, branch):
+            alive_at_build.append(held_a() is not None)
+            return original(spec, branch)
+
+        monkeypatch.setattr(oracle, "build_hamiltonian", recording)
+        amplitude_free(replace(a, epsilon=0.4), [0.5])
+        assert alive_at_build == [False, False]
+        assert held_a() is None
+
+
+class TestLongPulseTrain:
+    def test_real_evolve_matches_complex_product_and_keeps_norm(self, monkeypatch):
+        # 500 cycles at dt = 0.05: the real/imaginary split against the
+        # complex product, and the drift of the evolved states' norm
+        spec = ChainSpec(N=6, lam=1.0, epsilon=0.25, links=(1,))
+        dt, ts = 0.05, np.linspace(0.0, 50.0, 201)
+        monkeypatch.setattr(oracle, "_held", [])
+        norms = []
+        original = oracle._Spectral.evolve
+
+        def recording(self, branch, t, state):
+            out = original(self, branch, t, state)
+            norms.append(np.linalg.norm(out))
+            return out
+
+        monkeypatch.setattr(oracle._Spectral, "evolve", recording)
+        amps = amplitude_pulsed(spec, PulseSchedule(delta_t=dt), ts)
+        assert len(norms) >= 4 * 500
+        assert np.max(np.abs(np.array(norms) - 1.0)) <= 1e-12
+        np.testing.assert_allclose(amps, _complex_product_pulsed(spec, dt, ts), rtol=0, atol=1e-12)
+
+
 class TestSpinStarShiftIdentity:
     def test_full_hilbert_space_level(self):
         # echo of the spin-star (lam, eps) against the pure-bath pair
@@ -213,6 +328,42 @@ class TestCalibrateConventions:
         result = calibrate_conventions(default_calibration_specs())
         assert (result.boundary_sign, result.det_exponent) == (-1, 1)
         assert result.max_residual <= 1e-8
+
+    def test_each_sector_determinant_built_once(self, monkeypatch):
+        specs = default_calibration_specs()
+        ts = np.arange(0.5, 5.01, 0.5)
+        # reference: the exponent loop outside, one build per exponent; a
+        # sector that cannot fill its sea is out at the first such spec
+        expected, reference_builds = {}, 0
+        for bs, p in itertools.product((1, -1), (1, 2)):
+            worst = 0.0
+            for spec in specs:
+                reference_builds += 1
+                try:
+                    log_dets = echo._free_log_dets(
+                        echo._BranchData(replace(spec, boundary_sign=bs)), ts)
+                except freefermion.DegenerateFillingError:
+                    worst = math.inf
+                    break
+                det = np.exp(p * np.asarray(log_dets))
+                oracle_le = np.abs(amplitude_free(spec, ts)) ** 2
+                worst = max(worst, float(np.max(np.abs(det - oracle_le))))
+            expected[(bs, p)] = worst
+        built = []
+        original = echo._BranchData
+
+        def counting(spec):
+            built.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(echo, "_BranchData", counting)
+        result = calibrate_conventions(specs)
+        assert not oracle._held  # no decomposition outlives the calibration
+        assert len(built) == reference_builds // 2
+        assert len(set(built)) == len(built)
+        assert list(result.residuals.items()) == list(expected.items())
+        assert result.max_residual == expected[(-1, 1)]
+        assert expected[(1, 1)] == expected[(1, 2)] == math.inf
 
     def test_empty_suite_rejected(self):
         with pytest.raises(CalibrationError, match="at least one"):
