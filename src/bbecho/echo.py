@@ -12,12 +12,13 @@ On the determinant route every echo point is one determinant of the
 freefermion module taken over the occupied subspace, |det(W^T S W)| for
 the propagator string S, with W the N filled modes of the up branch. The
 module works in the up-branch eigenbasis, where W picks the first N
-modes and the down branch enters through K = V_up^T V_down, formed once
-per spec. Each string writes its N x N matrix as L diag(phases) R, L of
-size N x 2N and R of size 2N x N:
+modes and the down branch enters through the real orthogonal
+K = V_up^T V_down, formed once per spec. With D(x) = diag(e^{iEx}) on
+either branch's energies, the free and effective points read
+det(L diag(phases) R) over L of size N x 2N and R of size 2N x N:
 
-    free:       L = K[:N],       phases e^{-iE_down t},  R = L^T
-    effective:  L = W^T V_eff,   phases e^{+iE_eff t},   R = L^H
+    free:       L = K[:N],       phases D_down(-t),   R = L^T
+    effective:  L = W^T V_eff,   phases D_eff(t),     R = L^H
 
 Time t under a pulse train with interval dt decomposes as t = 2 M dt + t_res;
 the propagator string is, with F = e^{+iC_down dt} e^{+iC_up dt} and
@@ -29,16 +30,26 @@ B = conj(F),
 
 which is continuous at the branch boundary and reduces to the free string
 for M = 0, t < dt. In the up eigenbasis one cycle is
-F~ = K D_down(dt) K^T D_up(dt), D(x) = diag(e^{iEx}), formed once per dt.
-Only the occupied rows X = F~^M[:N] are carried along an ascending grid,
-one N x 2N by 2N x 2N product per cycle: F~^T = D_up F~ D_up^{-1}, so the
-occupied columns of B^M are D_up X^H up to column phases that drop out
-of |det|. Both residual strings then read
+F~ = K D_down(dt) K^T D_up(dt), and F~^T = D_up F~ D_up^{-1}, so the
+occupied columns of B^M are those of the occupied rows of F~^M, up to
+column phases that drop out of |det|. Those rows are carried in the down
+eigenbasis, P = F~^M[:N] K = K[:N] G^M with the cycle
+G = D_down(dt) K^T D_up(dt) K, and both residual strings read
 
-    L = Z D_up(sigma - dt) K,   phases e^{-iE_down sigma},   R = (X K)^H,
+    det(P' K^T D_up(a) K D_down(-sigma) P^H),
 
-with Z = X, sigma = t_res in the first branch and Z = X F~,
-sigma = t_res - dt in the second.
+with P' = P, sigma = t_res, a = sigma - dt in the first branch and
+P' = P D_down(dt), sigma = a = t_res - dt in the second.
+
+The code keeps every complex operand transposed (P^T, 2N x N) and
+C-contiguous, so that a product with the real K or K^T is one float64
+product over the interleaved real and imaginary parts: numpy has no BLAS
+path for a complex times real matmul. A point then costs two such real
+products, one N x 2N by 2N x N complex product and one N x N LU. Between
+points the rows advance by the exact integer number of cycles d through
+a binary ladder of held powers G^(2^j), one 2N x 2N by 2N x N product
+per set bit of d. The ladder lives for one series and grows only to the
+bit length of the largest jump, so at most log2(M) + 1 powers are held.
 
 For fast pulsing the echo is predicted by the effective generator
 C_eff = i (dt/2) [C_down, C_up], whose entries do not depend on the
@@ -88,18 +99,23 @@ class EchoSeries:
         return np.array([p.log_le for p in self.points])
 
 
+def _require_even_n(spec: ChainSpec) -> None:
+    """SpecError for odd N, where the calibrated antiperiodic sector misses
+    the oracle echo (by 8e-4 to 5e-2 at N = 3, 5, 7, one link, Jt <= 10)."""
+    if spec.N % 2:
+        raise SpecError(f"the determinant echo needs even N, got N={spec.N}")
+
+
 class _BranchData:
     """Both branch spectra in the up-branch eigenbasis.
 
     The occupied modes are the first N up modes, so k[:N] = W^T V_down.
     Raises DegenerateFillingError when the filled sea is ambiguous, and
-    SpecError for odd N, where the calibrated antiperiodic sector misses
-    the oracle echo (by 8e-4 to 5e-2 at N = 3, 5, 7, one link, Jt <= 10).
+    SpecError for odd N (see _require_even_n).
     """
 
     def __init__(self, spec: ChainSpec):
-        if spec.N % 2:
-            raise SpecError(f"the determinant echo needs even N, got N={spec.N}")
+        _require_even_n(spec)
         up = freefermion.diagonalize(freefermion.build_bdg(spec, "up"))
         down = freefermion.diagonalize(freefermion.build_bdg(spec, "down"))
         self.spec = spec
@@ -108,9 +124,14 @@ class _BranchData:
         self.k = up.eigenvectors.T @ down.eigenvectors
 
 
-def _log_det(left: np.ndarray, phases: np.ndarray, right: np.ndarray) -> float:
-    """log|det(left diag(phases) right)|, the determinant of every echo point."""
-    return float(np.linalg.slogdet((left * phases) @ right)[1])
+def _log_det(m: np.ndarray) -> float:
+    """log|det m| of the N x N matrix of every echo point."""
+    return float(np.linalg.slogdet(m)[1])
+
+
+def _real_times(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """r @ z for real r and C-contiguous complex z as one float64 product."""
+    return (r @ z.view(np.float64)).view(np.complex128)
 
 
 def _series(ts: np.ndarray, log_dets: Sequence[float], kind: str) -> EchoSeries:
@@ -128,39 +149,73 @@ def _series(ts: np.ndarray, log_dets: Sequence[float], kind: str) -> EchoSeries:
 def _free_log_dets(data: _BranchData, ts: np.ndarray) -> list[float]:
     """log|det| of the free string e^{+iC_up t} e^{-iC_down t} at each time."""
     k_occ = data.k[:data.spec.N]
-    return [_log_det(k_occ, np.exp(-1j * data.e_down * t), k_occ.T) for t in ts]
+    k_occ_t = np.ascontiguousarray(k_occ.T)
+    return [_log_det(_real_times(k_occ, np.exp(-1j * data.e_down * t)[:, None] * k_occ_t))
+            for t in ts]
 
 
-def _cycle(data: _BranchData, dt: float) -> np.ndarray:
-    """One pulse cycle F~ = K D_down(dt) K^T D_up(dt) in the up eigenbasis."""
-    return ((data.k * np.exp(1j * data.e_down * dt))
-            @ (data.k.T * np.exp(1j * data.e_up * dt)))
+def _carried_rows(data: _BranchData) -> np.ndarray:
+    """P^T at M = 0: the occupied rows P = K[:N], transposed and complex."""
+    return np.ascontiguousarray(data.k[:data.spec.N].T, dtype=complex)
 
 
-def _residual_log_det(data: _BranchData, cycle: np.ndarray, rows: np.ndarray,
-                      dt: float, t_res: float, branch: int) -> float:
-    """log|det| of F^M mid B^M with rows = F~^M[:N]; branch picks the mid formula."""
-    z, sigma = (rows, t_res) if branch == 1 else (rows @ cycle, t_res - dt)
-    left = (z * np.exp(1j * data.e_up * (sigma - dt))) @ data.k
-    return _log_det(left, np.exp(-1j * data.e_down * sigma), (rows @ data.k).conj().T)
+class _CyclePowers:
+    """Held powers (G^T)^(2^j) of the cycle's transpose G^T = K^T D_up K D_down.
+
+    The ladder grows only as far as the largest jump asks, so a series
+    whose rows reach M cycles holds at most M.bit_length() matrices.
+    """
+
+    def __init__(self, data: _BranchData, dt: float):
+        k_down = data.k * np.exp(1j * data.e_down * dt)
+        self.powers = [_real_times(data.k.T, np.exp(1j * data.e_up * dt)[:, None] * k_down)]
+
+    def advance(self, rows: np.ndarray, cycles: int) -> np.ndarray:
+        """(G^T)^cycles rows, one product per set bit of cycles."""
+        j = 0
+        while cycles:
+            if j == len(self.powers):
+                self.powers.append(self.powers[-1] @ self.powers[-1])
+            if cycles & 1:
+                rows = self.powers[j] @ rows
+            cycles >>= 1
+            j += 1
+        return rows
+
+
+def _residual_log_det(data: _BranchData, rows: np.ndarray, dt: float,
+                      t_res: float, branch: int) -> float:
+    """log|det| of F^M mid B^M with rows = P^T; branch picks the mid formula.
+
+    It evaluates the conjugate transpose of P' K^T D_up(a) K D_down(-sigma) P^H,
+    scaling in place so that a point allocates few temporaries.
+    """
+    if branch == 1:
+        sigma, a = t_res, t_res - dt
+        v = _real_times(data.k, rows)
+    else:
+        sigma = a = t_res - dt
+        v = _real_times(data.k, np.exp(1j * data.e_down * dt)[:, None] * rows)
+    v *= np.exp(1j * data.e_up * a)[:, None]
+    v = _real_times(data.k.T, v)
+    v *= np.exp(-1j * data.e_down * sigma)[:, None]
+    return _log_det(rows.T @ np.conjugate(v, out=v))
 
 
 def _pulsed_log_dets(data: _BranchData, dt: float, ts: np.ndarray) -> list[float]:
-    """log|det| of the pulsed string at ascending times; rows advance per cycle."""
+    """log|det| of the pulsed string at ascending times; rows jump by whole cycles."""
     if np.any(np.diff(ts) < 0):
         raise SpecError("pulsed series needs ascending times")
-    n = data.spec.N
-    cycle = _cycle(data, dt)
-    rows = np.eye(n, 2 * n, dtype=complex)
+    powers = _CyclePowers(data, dt)
+    rows = _carried_rows(data)
     m_cur = 0
     log_dets = []
     for t in ts:
         m = int(math.floor(t / (2.0 * dt) + 1e-12))
-        while m_cur < m:
-            rows = rows @ cycle
-            m_cur += 1
+        rows = powers.advance(rows, m - m_cur)
+        m_cur = m
         t_res = t - 2.0 * m * dt
-        log_dets.append(_residual_log_det(data, cycle, rows, dt, t_res,
+        log_dets.append(_residual_log_det(data, rows, dt, t_res,
                                           1 if t_res < dt else 2))
     return log_dets
 
@@ -231,9 +286,12 @@ def loschmidt_effective(spec: ChainSpec, schedule: PulseSchedule,
         raise SpecError("loschmidt_effective needs a cycle-aligned grid")
     gen = effective_bdg(spec, schedule)
     evals, vecs = np.linalg.eigh(gen.C)
-    left = _BranchData(spec).occupied.T @ vecs
+    _require_even_n(spec)
+    up = freefermion.diagonalize(freefermion.build_bdg(spec, "up"))
+    left = freefermion.occupied_modes(up).T @ vecs
+    right = left.conj().T
     ts = grid.times(schedule)
-    log_dets = [_log_det(left, np.exp(1j * evals * t), left.conj().T) for t in ts]
+    log_dets = [_log_det((left * np.exp(1j * evals * t)) @ right) for t in ts]
     return _series(ts, log_dets, "effective")
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bbecho import echo, oracle, spinstar
+from bbecho import echo, freefermion, oracle, spinstar
 from bbecho.echo import (EchoPoint, EchoSeries, coherence_offdiagonal,
                          effective_bdg, loschmidt_effective, loschmidt_free,
                          loschmidt_pulsed, sweep, time_average)
@@ -79,9 +79,9 @@ class TestLoschmidtPulsed:
     def test_branch_formulas_agree_at_boundary(self):
         data = echo._BranchData(_spec(N=6))
         dt = 0.4
-        cycle, rows = echo._cycle(data, dt), np.eye(6, 12)
-        le1 = np.exp(echo._residual_log_det(data, cycle, rows, dt, dt, 1))
-        le2 = np.exp(echo._residual_log_det(data, cycle, rows, dt, dt, 2))
+        rows = echo._carried_rows(data)
+        le1 = np.exp(echo._residual_log_det(data, rows, dt, dt, 1))
+        le2 = np.exp(echo._residual_log_det(data, rows, dt, dt, 2))
         assert abs(le1 - le2) <= 1e-9
 
     def test_continuous_across_cycle_boundary(self):
@@ -117,6 +117,23 @@ def test_odd_n_refused_by_every_determinant_route(route, n):
         _ODD_N_ROUTES[route](_spec(N=n, lam=1.5, links=(1,)))
 
 
+def _u(d, s, sign):
+    return propagator(d, s, sign).U
+
+
+def _pulsed_string(up, down, dt, t):
+    """The 2N x 2N pulsed string F^M mid B^M, the cycle power by binary powering."""
+    m = int(np.floor(t / (2.0 * dt) + 1e-12))
+    t_res = t - 2.0 * m * dt
+    fwd = np.linalg.matrix_power(_u(down, dt, +1) @ _u(up, dt, +1), m)
+    if t_res < dt:
+        mid = [_u(down, t_res, +1), _u(up, t_res, -1)]
+    else:
+        s = t_res - dt
+        mid = [_u(down, dt, +1), _u(up, s, +1), _u(down, s, -1), _u(up, dt, -1)]
+    return [fwd, *mid, fwd.conj()]
+
+
 class TestOccupiedSubspaceKernel:
     """The N x N kernel against the 2N x 2N reference strings at N = 100."""
 
@@ -127,38 +144,99 @@ class TestOccupiedSubspaceKernel:
         down = diagonalize(build_bdg(spec, "down"))
         r = ground_correlation(up)
 
-        def u(d, s, sign):
-            return propagator(d, s, sign).U
-
-        def pulsed_string(dt, t):
-            m = int(np.floor(t / (2.0 * dt) + 1e-12))
-            t_res = t - 2.0 * m * dt
-            fwd = np.linalg.matrix_power(u(down, dt, +1) @ u(up, dt, +1), m)
-            if t_res < dt:
-                mid = [u(down, t_res, +1), u(up, t_res, -1)]
-            else:
-                s = t_res - dt
-                mid = [u(down, dt, +1), u(up, s, +1), u(down, s, -1), u(up, dt, -1)]
-            return [fwd, *mid, fwd.conj()]
-
         routes = [(loschmidt_free(spec, grid),
-                   lambda t: [u(up, t, +1), u(down, t, -1)])]
+                   lambda t: [_u(up, t, +1), _u(down, t, -1)])]
         # dt = 0.1 runs 250 cycles; dt = 0.7 hits both residual branches
         for dt in (0.1, 0.7):
             routes.append((loschmidt_pulsed(spec, PulseSchedule(delta_t=dt), grid),
-                           lambda t, dt=dt: pulsed_string(dt, t)))
+                           lambda t, dt=dt: _pulsed_string(up, down, dt, t)))
         schedule = PulseSchedule(delta_t=0.5)
         gen = effective_bdg(spec, schedule)
         eff = SpectralDecomp(*np.linalg.eigh(gen.C))
         routes.append((loschmidt_effective(spec, schedule,
                                            TimeGrid(t_max=50.0, mode="cycles")),
-                       lambda t: [u(eff, t, +1)]))
+                       lambda t: [_u(eff, t, +1)]))
         for series, string in routes:
             assert len(series.points) == 51 and series.points[0].le == 1.0
             for p in series.points:
                 value, log_value = gaussian_overlap(r, string(p.t))
                 assert abs(p.le - value) <= 1e-10
                 assert abs(p.log_le - log_value) <= 1e-10
+
+
+def _extended_replay(data, dt, ts):
+    """log|det| of the pulsed string from data's float64 K and energies, with
+    the cycle F~ = K D_down K^T D_up formed and binary-powered in extended
+    precision, the occupied rows X = F~^M[:N] and the residual
+    det(Z D_up(sigma - dt) K D_down(-sigma) (X K)^H), Z = X or X F~."""
+    k = data.k.astype(np.longdouble)
+
+    def d(e, x):
+        return np.exp(np.clongdouble(1j) * e.astype(np.longdouble) * np.longdouble(x))
+
+    n = data.spec.N
+    cycle = (k * d(data.e_down, dt)) @ (k.T * d(data.e_up, dt))
+    out = []
+    for t in ts:
+        m = int(np.floor(t / (2.0 * dt) + 1e-12))
+        t_res = t - 2.0 * m * dt
+        x, power = np.eye(2 * n, dtype=np.clongdouble), cycle
+        while m:
+            if m & 1:
+                x = x @ power
+            power, m = power @ power, m >> 1
+        x = x[:n]
+        z, sigma = (x, t_res) if t_res < dt else (x @ cycle, t_res - dt)
+        mat = ((z * d(data.e_up, sigma - dt)) @ k * d(data.e_down, -sigma)) @ (x @ k).conj().T
+        out.append(np.linalg.slogdet(mat.astype(complex))[1])
+    return np.array(out)
+
+
+class TestCycleJumps:
+    """Rows advanced by whole-cycle jumps through the held binary ladder."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_non_uniform_grid_matches_references(self, n, monkeypatch):
+        spec = _spec(N=n, lam=0.9, epsilon=0.3, links=(1, 4))
+        dt = 0.05
+        # first point 300 cycles in, a repeated time, jumps of 0 within a
+        # cycle and 15 distinct sizes after it, more than log2(M) + 1 = 10
+        jumps = [300, 0, 0, 1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+        cycles = np.cumsum(jumps)
+        offsets = dt * np.array([0.3, 0.3, 1.6] + [0.1 + 0.37 * (i % 5)
+                                                   for i in range(len(jumps) - 3)])
+        ts = 2.0 * dt * cycles + offsets
+        held = []
+
+        class Recording(echo._CyclePowers):
+            def __init__(self, *args):
+                super().__init__(*args)
+                held.append(self)
+
+        monkeypatch.setattr(echo, "_CyclePowers", Recording)
+        series = echo._series(ts, echo._pulsed_log_dets(echo._BranchData(spec), dt, ts),
+                              "pulsed")
+        assert len(held) == 1
+        assert len(held[0].powers) <= int(cycles[-1]).bit_length()
+
+        up = diagonalize(build_bdg(spec, "up"))
+        down = diagonalize(build_bdg(spec, "down"))
+        r = ground_correlation(up)
+        for p in series.points:
+            value, log_value = gaussian_overlap(r, _pulsed_string(up, down, dt, p.t))
+            assert abs(p.le - value) <= 1e-10
+            assert abs(p.log_le - log_value) <= 1e-10
+        expected = np.abs(oracle.amplitude_pulsed(spec, PulseSchedule(delta_t=dt), ts)) ** 2
+        assert np.max(np.abs(series.le - expected)) <= 1e-8
+
+    def test_long_train_drift_is_bounded(self):
+        # 2.5 * 10^6 cycles at dt = 1e-5: the drift against the replay stays
+        # below 1e-9, where the exact decay is about 3e-12
+        spec = _spec(N=4, lam=1.0, epsilon=0.25)
+        dt, ts = 1e-5, np.array([10.0, 50.0])
+        data = echo._BranchData(spec)
+        log_le = np.array(echo._pulsed_log_dets(data, dt, ts))
+        assert np.max(np.abs(log_le - _extended_replay(data, dt, ts))) <= 1e-9
 
 
 def _pair_reference(spec, dt, ts):
@@ -317,6 +395,19 @@ class TestLoschmidtEffective:
         with pytest.raises(SpecError, match="cycle"):
             loschmidt_effective(_spec(), PulseSchedule(delta_t=0.1),
                                 TimeGrid(t_max=5.0, n_points=11))
+
+    def test_builds_only_the_up_decomposition(self, monkeypatch):
+        calls = []
+        real = freefermion.diagonalize
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(freefermion, "diagonalize", counting)
+        loschmidt_effective(_spec(N=6), PulseSchedule(delta_t=0.3),
+                            TimeGrid(t_max=3.0, mode="cycles"))
+        assert len(calls) == 1
 
     def test_time_zero_is_exactly_one(self):
         series = loschmidt_effective(_spec(), PulseSchedule(delta_t=0.25),
