@@ -11,6 +11,11 @@ definition alone and were calibrated once against exact diagonalization:
   (Nambu) space equals the Loschmidt echo itself, i.e. the squared
   overlap, with no further squaring.
 
+Neither is an input to the echo. The sector is the default argument of
+``freefermion.build_bdg``, which only the calibration overrides, and the
+determinant route takes log|det| as log L with no power; the pair is the
+target the calibration must reproduce.
+
 ``calibrate_and_cache`` re-derives the pair from scratch (small-N exact
 diagonalization) and stores it in a state file keyed by the library
 version, so a CLI run never silently trusts a stale cache after an

@@ -2,11 +2,12 @@
 
 The free and pulsed echo of a spec take one of two exact routes, picked
 by ``route`` from the spec alone. A spin star (every site linked) with
-even N on the calibrated antiperiodic boundary takes the momentum route,
-spinstar.log_echo: N/2 independent 2x2 pair problems, O(N) per point
-whatever the number of pulse cycles. Every other spec takes the
-determinant route below, as do the effective theory and the convention
-calibration for every spec.
+even N takes the momentum route, spinstar.log_echo: N/2 independent 2x2
+pair problems, O(N) per point whatever the number of pulse cycles. Every
+other spec takes the determinant route below, as do the effective theory
+and the convention calibration for every spec. Both routes work in the
+calibrated antiperiodic fermion sector; the sector is not a field of the
+spec, and only the calibration passes another one, to _BranchData.
 
 On the determinant route every echo point is one determinant of the
 freefermion module taken over the occupied subspace, |det(W^T S W)| for
@@ -70,7 +71,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import freefermion, spinstar
-from .conventions import DET_EXPONENT
+from .conventions import BOUNDARY_SIGN
 from .model import ChainSpec, PulseSchedule, QubitSpec, SpecError, TimeGrid
 
 
@@ -107,19 +108,19 @@ def _require_even_n(spec: ChainSpec) -> None:
 
 
 class _BranchData:
-    """Both branch spectra in the up-branch eigenbasis.
+    """Both branch spectra of one fermion sector in the up-branch eigenbasis.
 
     The occupied modes are the first N up modes, so k[:N] = W^T V_down.
     Raises DegenerateFillingError when the filled sea is ambiguous, and
     SpecError for odd N (see _require_even_n).
     """
 
-    def __init__(self, spec: ChainSpec):
+    def __init__(self, spec: ChainSpec, boundary_sign: int = BOUNDARY_SIGN):
         _require_even_n(spec)
-        up = freefermion.diagonalize(freefermion.build_bdg(spec, "up"))
-        down = freefermion.diagonalize(freefermion.build_bdg(spec, "down"))
+        up = freefermion.diagonalize(freefermion.build_bdg(spec, "up", boundary_sign))
+        down = freefermion.diagonalize(freefermion.build_bdg(spec, "down", boundary_sign))
+        freefermion.occupied_modes(up)  # the filling guard; W itself is k[:N]
         self.spec = spec
-        self.occupied = freefermion.occupied_modes(up)
         self.e_up, self.e_down = up.eigenvalues, down.eigenvalues
         self.k = up.eigenvectors.T @ down.eigenvectors
 
@@ -135,14 +136,13 @@ def _real_times(r: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _series(ts: np.ndarray, log_dets: Sequence[float], kind: str) -> EchoSeries:
-    """Echo points from log|det|; t = 0 is exactly one on every route."""
+    """Echo points from log L; t = 0 is exactly one on every route."""
     points = []
-    for t, log_abs in zip(ts, log_dets):
+    for t, log_le in zip(ts, log_dets):
         if t == 0.0:
-            log_abs = 0.0
-        value = math.exp(log_abs) if log_abs > -745.0 else 0.0
-        points.append(EchoPoint(t=float(t), le=value ** DET_EXPONENT,
-                                log_le=DET_EXPONENT * log_abs, kind=kind))
+            log_le = 0.0
+        value = math.exp(log_le) if log_le > -745.0 else 0.0
+        points.append(EchoPoint(t=float(t), le=value, log_le=log_le, kind=kind))
     return EchoSeries(points=tuple(points))
 
 
@@ -222,16 +222,17 @@ def _pulsed_log_dets(data: _BranchData, dt: float, ts: np.ndarray) -> list[float
 
 def route(spec: ChainSpec) -> str:
     """The route of spec's free and pulsed echo: "momentum" for a spin star
-    with even N on the antiperiodic boundary, else "determinant"."""
-    if spec.is_spin_star and spec.N % 2 == 0 and spec.boundary_sign == -1:
+    with even N, else "determinant"."""
+    if spec.is_spin_star and spec.N % 2 == 0:
         return "momentum"
     return "determinant"
 
 
 def _log_dets(spec: ChainSpec) -> Callable[..., list[float]]:
-    """log|det| at times ts on spec's route, as f(ts) free or f(ts, dt) pulsed.
+    """log L at times ts on spec's route, as f(ts) free or f(ts, dt) pulsed.
 
-    The momentum route's log L is that log|det|, since DET_EXPONENT is 1.
+    On the determinant route log L is log|det|: the calibrated determinant
+    exponent is 1 (conventions.DET_EXPONENT).
     """
     if route(spec) == "momentum":
         return lambda ts, dt=None: spinstar.log_echo(spec, ts, dt).tolist()
@@ -284,9 +285,9 @@ def loschmidt_effective(spec: ChainSpec, schedule: PulseSchedule,
     """
     if grid.mode != "cycles":
         raise SpecError("loschmidt_effective needs a cycle-aligned grid")
+    _require_even_n(spec)
     gen = effective_bdg(spec, schedule)
     evals, vecs = np.linalg.eigh(gen.C)
-    _require_even_n(spec)
     up = freefermion.diagonalize(freefermion.build_bdg(spec, "up"))
     left = freefermion.occupied_modes(up).T @ vecs
     right = left.conj().T

@@ -13,9 +13,11 @@ with the real symmetric 2N x 2N single-particle matrix
 
 where eps_j = epsilon on the coupled link sites for the perturbed branch
 (qubit down) and 0 for the unperturbed one (qubit up). The boundary bond
-(N,1) carries the bulk amplitudes times ``boundary_sign``; the calibrated
-default -1 selects the antiperiodic (even fermion parity) sector that
-contains the spin ground state for even N. For odd N the ground state
+(N,1) carries the bulk amplitudes times the sector sign that
+``build_bdg`` takes. It is not a field of the spec: every echo route
+uses the calibrated -1, the antiperiodic (even fermion parity) sector
+that contains the spin ground state for even N, and only the convention
+calibration builds the other sector. For odd N the ground state
 migrates to the other sector at large fields, so oracle-exactness is
 only claimed for even N; odd antiperiodic chains also host an exact zero
 mode at lam = 1 (the self-paired momentum pi), which trips the
@@ -48,6 +50,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .conventions import BOUNDARY_SIGN
 from .model import ChainSpec, SpecError
 
 
@@ -89,14 +92,18 @@ class Propagator:
     sign: int
 
 
-def build_bdg(spec: ChainSpec, branch: str) -> BdGMatrix:
+def build_bdg(spec: ChainSpec, branch: str,
+              boundary_sign: int = BOUNDARY_SIGN) -> BdGMatrix:
     """Assemble the A, B blocks and C for one qubit branch.
 
     branch "up" is the bare bath; branch "down" adds epsilon to the
-    on-site field of every link site.
+    on-site field of every link site. boundary_sign (+1 or -1) is the
+    fermion sector: the sign of the boundary bond relative to the bulk.
     """
     if branch not in ("up", "down"):
         raise SpecError(f"branch must be 'up' or 'down', got {branch!r}")
+    if isinstance(boundary_sign, bool) or boundary_sign not in (-1, 1):
+        raise SpecError(f"boundary_sign must be +1 or -1, got {boundary_sign!r}")
     N, J = spec.N, spec.J
     eps_site = np.zeros(N)
     if branch == "down":
@@ -112,7 +119,7 @@ def build_bdg(spec: ChainSpec, branch: str) -> BdGMatrix:
         B[j, j + 1] += -J
         B[j + 1, j] += +J
     # boundary bond (N, 1); += so the doubled bond at N=2 accumulates
-    bs = float(spec.boundary_sign)
+    bs = float(boundary_sign)
     A[N - 1, 0] += bs * (-J)
     A[0, N - 1] += bs * (-J)
     B[N - 1, 0] += bs * (-J)

@@ -17,8 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .conventions import BOUNDARY_SIGN
-
 
 class SpecError(ValueError):
     """Invalid physical parameters or grid specification."""
@@ -48,10 +46,6 @@ class ChainSpec:
         deduplicated. ``links == (1, ..., N)`` is the spin-star model.
     J : float
         Ising bond energy (J > 0), default 1.
-    boundary_sign : int
-        Sign of the fermionic boundary bond relative to the bulk bonds.
-        The default -1 (antiperiodic sector) was fixed by matching exact
-        diagonalization for even N; see the freefermion module.
     """
 
     N: int
@@ -59,7 +53,6 @@ class ChainSpec:
     epsilon: float
     links: tuple[int, ...]
     J: float = 1.0
-    boundary_sign: int = BOUNDARY_SIGN
 
     def __post_init__(self):
         n = _as_int("N", self.N)
@@ -84,18 +77,13 @@ class ChainSpec:
             bad = [j for j in links if j < 1 or j > n]
             raise SpecError(f"link sites {bad} outside 1..{n}")
         object.__setattr__(self, "links", links)
-        sign = _as_int("boundary_sign", self.boundary_sign)
-        if sign not in (-1, 1):
-            raise SpecError(f"boundary_sign must be +1 or -1, got {sign}")
-        object.__setattr__(self, "boundary_sign", sign)
 
     @classmethod
-    def spin_star(cls, N: int, lam: float, epsilon: float, J: float = 1.0,
-                  boundary_sign: int = BOUNDARY_SIGN) -> "ChainSpec":
+    def spin_star(cls, N: int, lam: float, epsilon: float,
+                  J: float = 1.0) -> "ChainSpec":
         """Spec with the qubit coupled uniformly to all N bath spins."""
         return cls(N=N, lam=lam, epsilon=epsilon,
-                   links=tuple(range(1, int(N) + 1)), J=J,
-                   boundary_sign=boundary_sign)
+                   links=tuple(range(1, int(N) + 1)), J=J)
 
     @property
     def is_spin_star(self) -> bool:
@@ -110,8 +98,7 @@ class ChainSpec:
 def validate(spec: ChainSpec) -> ChainSpec:
     """Re-run normalization on a spec (idempotent by construction)."""
     return ChainSpec(N=spec.N, lam=spec.lam, epsilon=spec.epsilon,
-                     links=spec.links, J=spec.J,
-                     boundary_sign=spec.boundary_sign)
+                     links=spec.links, J=spec.J)
 
 
 def shifted_field(spec: ChainSpec) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -257,9 +257,8 @@ def calibrate_conventions(specs: Sequence[ChainSpec],
         # the exponent only powers the determinant, so each sector's log
         # determinants are computed once and serve both exponents
         try:
-            log_dets = [np.asarray(echo._free_log_dets(
-                echo._BranchData(replace(spec, boundary_sign=bs)), ts))
-                for spec in specs]
+            log_dets = [np.asarray(echo._free_log_dets(echo._BranchData(spec, bs), ts))
+                        for spec in specs]
         except freefermion.DegenerateFillingError:
             # a sector with zero modes cannot even define its filled
             # sea on this suite; the candidate is out

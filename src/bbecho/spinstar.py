@@ -37,8 +37,8 @@ of the grid offset for 2p < N; the measured cross-path difference is
 (8 t eps_eff)^N.
 
 ``log_echo`` owns the antiperiodic grid: it is the exact free and pulsed
-echo of a spin-star spec, to all orders, and the route the echo module
-takes for every spin-star spec with even N on the calibrated boundary.
+echo of a spin-star spec with even N, to all orders, and the route the
+echo module takes for every such spec.
 """
 
 from __future__ import annotations
@@ -174,20 +174,19 @@ def _power(x, m: np.ndarray):
 def log_echo(spec: ChainSpec, ts, delta_t: float | None = None) -> np.ndarray:
     """Exact log L of a spin-star spec at times ts, free or pulsed every delta_t.
 
-    With the antiperiodic boundary and even N, both qubit branches split
-    into N/2 pair problems at q = (2m+1) pi / N with the 2x2 generators
-    h_q = 2J[(lam - cos q) sz + sin q sy], lam + eps/J in place of lam on
-    the down branch (Quan et al., PRL 96, 140604 (2006); Rossini et al.,
-    PRA 75, 032333 (2007)). The echo is prod_q |<g_q| a_q^dag b_q |g_q>|^2,
-    g_q the lower eigenvector of the up h_q and a_q, b_q the two branch
-    strings of oracle.amplitude_pulsed for that mode. The M cycles of a
-    pulse train are one closed-form SU(2) power, so a point costs O(N)
-    whatever M is, and the times need no order.
+    In the calibrated antiperiodic fermion sector, which holds the ground
+    state for even N, both qubit branches split into N/2 pair problems at
+    q = (2m+1) pi / N with the 2x2 generators h_q = 2J[(lam - cos q) sz +
+    sin q sy], lam + eps/J in place of lam on the down branch (Quan et
+    al., PRL 96, 140604 (2006); Rossini et al., PRA 75, 032333 (2007)).
+    The echo is prod_q |<g_q| a_q^dag b_q |g_q>|^2, g_q the lower
+    eigenvector of the up h_q and a_q, b_q the two branch strings of
+    oracle.amplitude_pulsed for that mode. The M cycles of a pulse train
+    are one closed-form SU(2) power, so a point costs O(N) whatever M is,
+    and the times need no order.
     """
-    if not spec.is_spin_star or spec.boundary_sign != -1:
-        raise SpecError("log_echo needs a spin-star spec on the antiperiodic "
-                        f"boundary, got links={spec.links}, "
-                        f"boundary_sign={spec.boundary_sign}")
+    if not spec.is_spin_star:
+        raise SpecError(f"log_echo needs a spin-star spec, got links={spec.links}")
     hz_up, hz_down, hy = _pair_fields(spec)
     t = np.asarray(ts, dtype=float)[:, None]
     if delta_t is None:

@@ -407,6 +407,18 @@ class TestRunCommand:
         assert main([*argv, "--links", links]) == 0
         assert json.loads((tmp_path / "x.meta.json").read_text())["route"] == route
 
+    def test_decayed_echo_keeps_a_finite_log(self, state_dir, tmp_path):
+        # le underflows to 0.0 while the route's log_le stays finite; only
+        # spinstar-analytic rows, which take the log of the printed le,
+        # print -inf
+        out = tmp_path / "x.csv"
+        assert main(["run", "--mode", "free", "--N", "6000", "--lambda", "1.0",
+                     "--epsilon", "2.0", "--links", "all", "--tmax", "1.0",
+                     "--points", "2", "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert rows[1][:2] == ["1.0", "0.0"]
+        assert float(rows[1][2]) == pytest.approx(-1013.1, abs=0.05)
+
     def test_odd_n_is_config_error(self, state_dir, tmp_path, capsys):
         out = tmp_path / "x.csv"
         ini = FREE_INI.format(out=out).replace("N = 8", "N = 7")

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -330,12 +328,11 @@ class TestMomentumRoute:
               window_points=5)
 
         monkeypatch.setattr(echo, "_BranchData", recording)
-        for spec in (_spec(N=6, lam=0.5), replace(star, boundary_sign=1)):
-            assert echo.route(spec) == "determinant"
-            built.clear()
-            loschmidt_free(spec, grid)
-            loschmidt_pulsed(spec, schedule, grid)
-            assert built == [spec, spec]
+        spec = _spec(N=6, lam=0.5)
+        assert echo.route(spec) == "determinant"
+        loschmidt_free(spec, grid)
+        loschmidt_pulsed(spec, schedule, grid)
+        assert built == [spec, spec]
         odd = ChainSpec.spin_star(N=5, lam=0.5, epsilon=0.25)
         assert echo.route(odd) == "determinant"
         built.clear()
@@ -408,6 +405,15 @@ class TestLoschmidtEffective:
         loschmidt_effective(_spec(N=6), PulseSchedule(delta_t=0.3),
                             TimeGrid(t_max=3.0, mode="cycles"))
         assert len(calls) == 1
+
+    def test_odd_n_refused_before_any_build(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("effective_bdg built for odd N")
+
+        monkeypatch.setattr(echo, "effective_bdg", refuse)
+        with pytest.raises(SpecError, match="even N"):
+            loschmidt_effective(_spec(N=5), PulseSchedule(delta_t=0.3),
+                                TimeGrid(t_max=2.0, mode="cycles"))
 
     def test_time_zero_is_exactly_one(self):
         series = loschmidt_effective(_spec(), PulseSchedule(delta_t=0.25),

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from bbecho import oracle
-from bbecho.echo import loschmidt_free, loschmidt_pulsed
+from bbecho.conventions import BOUNDARY_SIGN
 from bbecho.freefermion import (BdGMatrix, DegenerateFillingError, build_bdg,
                                 diagonalize, gaussian_overlap,
                                 ground_correlation, ground_energy, propagator)
-from bbecho.model import ChainSpec, PulseSchedule, SpecError, TimeGrid
+from bbecho.model import ChainSpec, SpecError
 
 
 def _spec(N=6, lam=1.0, epsilon=0.25, links=(1,), **kw):
@@ -38,12 +38,16 @@ class TestBuildBdg:
                 m.C, np.block([[m.A, m.B], [-m.B, -m.A]]))
 
     def test_boundary_entries_carry_sector_sign(self):
-        spec = _spec(N=6)
-        m = build_bdg(spec, "up")
-        assert m.A[0, 5] == m.A[5, 0] == -spec.boundary_sign * -1.0 * -1.0
+        m = build_bdg(_spec(N=6), "up")
+        assert m.A[0, 5] == m.A[5, 0] == -BOUNDARY_SIGN * -1.0 * -1.0
         assert m.A[0, 1] == -1.0
-        assert m.B[5, 0] == spec.boundary_sign * (-1.0)
-        assert m.B[0, 5] == spec.boundary_sign * (+1.0)
+        assert m.B[5, 0] == BOUNDARY_SIGN * (-1.0)
+        assert m.B[0, 5] == BOUNDARY_SIGN * (+1.0)
+
+    @pytest.mark.parametrize("sign", [2, 0, True])
+    def test_sector_other_than_plus_minus_one_rejected(self, sign):
+        with pytest.raises(SpecError, match="boundary_sign"):
+            build_bdg(_spec(N=6), "up", boundary_sign=sign)
 
     def test_spin_star_down_equals_shifted_field_up(self):
         # the perturbed spin-star bath is the bare bath at lam + eps/J
@@ -118,14 +122,9 @@ class TestGroundCorrelation:
 
     def test_degenerate_filling_fails_loudly(self):
         # the periodic sector has an exact zero mode at criticality
-        spec = ChainSpec(N=8, lam=1.0, epsilon=0.0, links=(1,), boundary_sign=+1)
+        spec = ChainSpec(N=8, lam=1.0, epsilon=0.0, links=(1,))
         with pytest.raises(DegenerateFillingError):
-            ground_correlation(diagonalize(build_bdg(spec, "up")))
-        grid = TimeGrid(t_max=5.0, n_points=11)
-        with pytest.raises(DegenerateFillingError):
-            loschmidt_free(spec, grid)
-        with pytest.raises(DegenerateFillingError):
-            loschmidt_pulsed(spec, PulseSchedule(delta_t=0.5), grid)
+            ground_correlation(diagonalize(build_bdg(spec, "up", boundary_sign=+1)))
 
     def test_filled_sea_energy_matches_oracle(self):
         spec = _spec(N=8, lam=1.0, epsilon=0.0)

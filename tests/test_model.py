@@ -34,7 +34,6 @@ class TestChainSpec:
         dict(N=6, lam=1.0, epsilon=0.1, links=(1,), J=0.0),
         dict(N=6, lam=1.0, epsilon=0.1, links=(1,), J=-1.0),
         dict(N=6, lam=float("nan"), epsilon=0.1, links=(1,)),
-        dict(N=6, lam=1.0, epsilon=0.1, links=(1,), boundary_sign=2),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(SpecError):
@@ -47,6 +46,13 @@ class TestChainSpec:
 
     def test_spin_star_constructor(self):
         assert ChainSpec.spin_star(4, 1.0, 0.1).links == (1, 2, 3, 4)
+
+    def test_fermion_sector_is_not_a_field(self):
+        # the sector is fixed by calibration; freefermion.build_bdg takes it
+        with pytest.raises(TypeError):
+            ChainSpec(N=6, lam=1.0, epsilon=0.1, links=(1,), boundary_sign=1)
+        with pytest.raises(TypeError):
+            ChainSpec.spin_star(N=6, lam=1.0, epsilon=0.1, boundary_sign=1)
 
 
 class TestShiftedField:

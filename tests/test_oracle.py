@@ -340,8 +340,7 @@ class TestCalibrateConventions:
             for spec in specs:
                 reference_builds += 1
                 try:
-                    log_dets = echo._free_log_dets(
-                        echo._BranchData(replace(spec, boundary_sign=bs)), ts)
+                    log_dets = echo._free_log_dets(echo._BranchData(spec, bs), ts)
                 except freefermion.DegenerateFillingError:
                     worst = math.inf
                     break
@@ -352,9 +351,9 @@ class TestCalibrateConventions:
         built = []
         original = echo._BranchData
 
-        def counting(spec):
-            built.append(spec)
-            return original(spec)
+        def counting(spec, boundary_sign):
+            built.append((spec, boundary_sign))
+            return original(spec, boundary_sign)
 
         monkeypatch.setattr(echo, "_BranchData", counting)
         result = calibrate_conventions(specs)
