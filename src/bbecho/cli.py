@@ -26,9 +26,7 @@ from .config import (ConfigError, RunConfig, build_run_config, config_as_dict,
 from .freefermion import DegenerateFillingError
 from .model import ChainSpec, PulseSchedule, SpecError
 from .oracle import CalibrationError, DegenerateGroundStateError
-from .spinstar import amplitude_closed_form, effective_coupling
-
-ORACLE_CHECK_TOL = 1e-8
+from .spinstar import effective_coupling, log_echo_closed_form
 
 
 def _fmt(value) -> str:
@@ -63,8 +61,8 @@ def _write_sidecar(out: Path, config: RunConfig, conv: conventions.Conventions,
     payload = {
         "version": __version__,
         "conventions": {
-            "boundary_sign": conv.boundary_sign,
-            "det_exponent": conv.det_exponent,
+            "boundary_sign": conventions.BOUNDARY_SIGN,
+            "det_exponent": conventions.DET_EXPONENT,
             "max_residual": conv.max_residual,
             "source": conv.source,
         },
@@ -80,13 +78,8 @@ def _closed_form(config: RunConfig) -> echo.EchoSeries:
     """Squared spin-star cosine product at the grid times."""
     spec, schedule = config.spec, config.schedule
     eps_eff = effective_coupling(spec.epsilon, spec.J, schedule.delta_t).eps_eff
-    points = []
-    for t in config.grid.times(schedule):
-        amp = amplitude_closed_form(spec.N, eps_eff, float(t))
-        le = amp * amp
-        log_le = math.log(le) if le > 0.0 else float("-inf")
-        points.append(echo.EchoPoint(t=float(t), le=le, log_le=log_le, kind="analytic"))
-    return echo.EchoSeries(points=tuple(points))
+    ts = config.grid.times(schedule)
+    return echo._series(ts, log_echo_closed_form(spec.N, eps_eff, ts).tolist(), "analytic")
 
 
 # Each entry looks echo.loschmidt_* up at call time, so a wrapper installed
@@ -141,7 +134,7 @@ def oracle_check_suite() -> tuple[list[list], float]:
                 amp = (oracle.amplitude_free(spec, ts) if dt is None else
                        oracle.amplitude_pulsed(spec, PulseSchedule(delta_t=dt), ts))
                 diff = float(np.max(np.abs(series.le - np.abs(amp) ** 2)))
-                rows.append([series.points[0].kind, n, lam, 0.25, len(links), dt, diff])
+                rows.append([series.points[0].kind, n, lam, spec.epsilon, len(links), dt, diff])
     # np.max keeps a NaN residual, which the caller must see as a failure
     return rows, float(np.max([row[-1] for row in rows]))
 
@@ -163,15 +156,15 @@ def _execute(config: RunConfig) -> int:
         rows, worst = oracle_check_suite()
         columns = ["check", "N", "lambda", "epsilon", "m", "delta_t", "max_abs_diff"]
         extra = {"oracle_check": {"max_abs_diff": _json_safe(worst),
-                                  "tol": ORACLE_CHECK_TOL}}
+                                  "tol": oracle.TOL}}
     else:
         columns, rows = _run_series(config)
     _write_table(out, config.fmt, columns, rows)
     _write_sidecar(out, config, conv, extra)
     if config.mode == "oracle-check":
         print(f"oracle check: max |LE - LE_oracle| = {worst:.3e} "
-              f"(tol {ORACLE_CHECK_TOL:g}) over {len(rows)} combinations")
-        if not worst <= ORACLE_CHECK_TOL:
+              f"(tol {oracle.TOL:g}) over {len(rows)} combinations")
+        if not worst <= oracle.TOL:
             print("oracle check FAILED", file=sys.stderr)
             return 2
     print(f"wrote {out} ({len(rows)} rows)")
@@ -225,8 +218,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     conv = conventions.ensure(__version__, recalibrate=args.recalibrate)
-    print(f"boundary_sign = {conv.boundary_sign:+d}")
-    print(f"det_exponent  = {conv.det_exponent}")
+    print(f"boundary_sign = {conventions.BOUNDARY_SIGN:+d}")
+    print(f"det_exponent  = {conventions.DET_EXPONENT}")
     print(f"max residual vs oracle = {conv.max_residual:.3e}")
     print(f"source = {conv.source}")
     return 0

@@ -17,10 +17,11 @@ determinant route takes log|det| as log L with no power; the pair is the
 target the calibration must reproduce.
 
 ``calibrate_and_cache`` re-derives the pair from scratch (small-N exact
-diagonalization) and stores it in a state file keyed by the library
-version, so a CLI run never silently trusts a stale cache after an
-upgrade. A mismatch with the frozen constants is treated as a build
-defect and raised.
+diagonalization); a result other than the frozen constants is treated as
+a build defect and raised. The state file records only that the
+calibration passed for a library version, and with what worst residual,
+so a CLI run never silently trusts a stale cache after an upgrade. The
+pair itself is never read back: every report prints the constants.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ _STATE_FILE = "calibration.json"
 
 @dataclass(frozen=True)
 class Conventions:
-    boundary_sign: int
-    det_exponent: int
+    """A passed calibration of BOUNDARY_SIGN and DET_EXPONENT: its worst
+    residual against the oracle, and "calibrated" or "cache"."""
+
     max_residual: float
     source: str
 
@@ -65,15 +67,10 @@ def load_cached(version: str) -> Conventions | None:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
-    if payload.get("version") != version:
+    if not isinstance(payload, dict) or payload.get("version") != version:
         return None
     try:
-        return Conventions(
-            boundary_sign=int(payload["boundary_sign"]),
-            det_exponent=int(payload["det_exponent"]),
-            max_residual=float(payload["max_residual"]),
-            source="cache",
-        )
+        return Conventions(max_residual=float(payload["max_residual"]), source="cache")
     except (KeyError, TypeError, ValueError):
         return None
 
@@ -82,12 +79,7 @@ def store_cache(conv: Conventions, version: str) -> Path:
     d = state_dir()
     d.mkdir(parents=True, exist_ok=True)
     path = d / _STATE_FILE
-    payload = {
-        "version": version,
-        "boundary_sign": conv.boundary_sign,
-        "det_exponent": conv.det_exponent,
-        "max_residual": conv.max_residual,
-    }
+    payload = {"version": version, "max_residual": conv.max_residual}
     path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
@@ -101,18 +93,13 @@ def calibrate_and_cache(version: str) -> Conventions:
     from . import oracle  # deferred: oracle pulls in the heavy modules
 
     result = oracle.calibrate_conventions(oracle.default_calibration_specs())
-    conv = Conventions(
-        boundary_sign=result.boundary_sign,
-        det_exponent=result.det_exponent,
-        max_residual=result.max_residual,
-        source="calibrated",
-    )
-    if (conv.boundary_sign, conv.det_exponent) != (BOUNDARY_SIGN, DET_EXPONENT):
+    if (result.boundary_sign, result.det_exponent) != (BOUNDARY_SIGN, DET_EXPONENT):
         raise oracle.CalibrationError(
             "calibration result "
-            f"({conv.boundary_sign}, {conv.det_exponent}) disagrees with the "
+            f"({result.boundary_sign}, {result.det_exponent}) disagrees with the "
             f"frozen conventions ({BOUNDARY_SIGN}, {DET_EXPONENT})"
         )
+    conv = Conventions(max_residual=result.max_residual, source="calibrated")
     store_cache(conv, version)
     return conv
 

@@ -33,6 +33,10 @@ from .model import ChainSpec, PulseSchedule, SpecError
 
 _N_MAX = 14
 
+# The echo routes meet the oracle to this absolute tolerance in L: the
+# bar of `bbecho check` and of the convention calibration.
+TOL = 1e-8
+
 
 class OracleSizeError(SpecError):
     """Chain too large for dense 2^N diagonalization."""
@@ -226,15 +230,14 @@ class CalibrationResult:
     residuals: dict
 
 
-def calibrate_conventions(specs: Sequence[ChainSpec],
-                          ts: np.ndarray | None = None,
-                          tol: float = 1e-8) -> CalibrationResult:
+def calibrate_conventions(specs: Sequence[ChainSpec]) -> CalibrationResult:
     """Scan (boundary_sign, det_exponent) candidates against the oracle.
 
     Exactly one of the four candidate pairs must reproduce the oracle
-    echo on every supplied spec to within tol; anything else (no match,
-    several matches, an all-epsilon-zero suite that cannot identify the
-    exponent) raises CalibrationError with the residual table.
+    echo on every supplied spec to within TOL at t = 0.5, 1, ..., 5;
+    anything else (no match, several matches, an all-epsilon-zero suite
+    that cannot identify the exponent) raises CalibrationError with the
+    residual table.
     """
     specs = list(specs)
     if not specs:
@@ -244,8 +247,7 @@ def calibrate_conventions(specs: Sequence[ChainSpec],
             "calibration suite has epsilon = 0 throughout: both determinant "
             "exponents give 1 identically, the exponent is unidentifiable"
         )
-    if ts is None:
-        ts = np.arange(0.5, 5.01, 0.5)
+    ts = np.arange(0.5, 5.01, 0.5)
     oracle_le = {}
     for spec in specs:
         oracle_le[spec] = np.abs(amplitude_free(spec, ts)) ** 2
@@ -269,7 +271,7 @@ def calibrate_conventions(specs: Sequence[ChainSpec],
                 det = np.exp(p * log_det)
                 worst = max(worst, float(np.max(np.abs(det - oracle_le[spec]))))
             residuals[(bs, p)] = worst
-            if worst <= tol:
+            if worst <= TOL:
                 matches.append((bs, p))
 
     if len(matches) != 1:
@@ -277,7 +279,7 @@ def calibrate_conventions(specs: Sequence[ChainSpec],
             f"(bs={bs:+d}, p={p}): {res:.3e}" for (bs, p), res in sorted(residuals.items())
         )
         kind = "no candidate matched" if not matches else f"{len(matches)} candidates matched"
-        raise CalibrationError(f"{kind} at tol={tol:g}; residuals: {table}")
+        raise CalibrationError(f"{kind} at tol={TOL:g}; residuals: {table}")
 
     bs, p = matches[0]
     return CalibrationResult(

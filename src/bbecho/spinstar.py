@@ -118,6 +118,17 @@ def amplitude_closed_form(N: int, eps_eff: float, t: float) -> float:
     return sign * math.exp(log_abs) if log_abs > -745.0 else 0.0
 
 
+def log_echo_closed_form(N: int, eps_eff: float, ts) -> np.ndarray:
+    """log L = 2 sum_k log|cos(8 t eps_eff Delta_k)| at each of the times ts.
+
+    The log of the squared amplitude_closed_form, summed in its order; it
+    stays finite where the echo itself underflows.
+    """
+    n = _check_even(N)
+    t = np.asarray(ts, dtype=float)[:, None]
+    return 2.0 * np.sum(np.log(np.abs(np.cos(8.0 * t * eps_eff * _delta_k(n)))), axis=-1)
+
+
 def gamma_coefficient(N: int) -> float:
     """Gamma = 64 sum_k Delta_k^2; equals 16 N identically for even N."""
     n = _check_even(N)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bbecho import echo
+from bbecho import __version__, echo
 from bbecho.cli import main
 from bbecho.config import (ConfigError, build_run_config, preset,
                            read_config_file)
@@ -91,11 +91,23 @@ class TestConfigParsing:
             })
 
     def test_sweep_requires_axes(self):
+        spec = {"N": "6", "lambda": "1.0", "epsilon": "0.25", "links": "1"}
         with pytest.raises(ConfigError, match="axes"):
-            build_run_config({
-                "run": {"mode": "sweep"},
-                "spec": {"N": "6", "lambda": "1.0", "epsilon": "0.25", "links": "1"},
-            })
+            build_run_config({"run": {"mode": "sweep"}, "spec": spec})
+        with pytest.raises(ConfigError, match="sweep axes need t_star and half_width"):
+            build_run_config({"run": {"mode": "sweep"}, "spec": spec,
+                              "axes": {"delta_ts": "0.4", "half_width": "1.0"}})
+
+    @pytest.mark.parametrize("text, message", [
+        ("N = 4\n", "cannot parse config"),
+        (None, "cannot read config"),
+    ], ids=["no-section", "no-file"])
+    def test_unreadable_config_rejected(self, tmp_path, text, message):
+        path = tmp_path / "run.ini"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            read_config_file(str(path))
 
     def test_readme_example_builds(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -314,6 +326,9 @@ class TestRunCommand:
     def test_missing_spec_is_config_error(self, state_dir, capsys):
         assert main(["run", "--mode", "free"]) == 1
         assert "config error" in capsys.readouterr().err
+        assert main(["run", "--mode", "free", "--lambda", "1.0", "--epsilon", "0.25",
+                     "--links", "1", *GRID_FLAGS]) == 1
+        assert "config error: [spec] is missing key 'N'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, bad, named", [
         ("N = 8", "N = 4.5", "[spec] N = '4.5': "),
@@ -331,7 +346,10 @@ class TestRunCommand:
         (["run", "--N", "4.5"], "config error: [spec] N = '4.5': "),
         (["run", "--mode", "free", "--points", "two"],
          "config error: [grid] points = 'two': "),
-    ], ids=["run-N", "run-points"])
+        (["run", "--mode", "free", *SPEC_FLAGS, *GRID_FLAGS, "--format", "xml"],
+         "config error: unknown format 'xml'"),
+        (["run", "--mode", "nosuch"], "config error: unknown mode 'nosuch'"),
+    ], ids=["run-N", "run-points", "run-format", "run-mode"])
     def test_malformed_flag_is_config_error(self, state_dir, tmp_path, capsys,
                                             argv, message):
         out = tmp_path / "x.csv"
@@ -408,16 +426,20 @@ class TestRunCommand:
         assert json.loads((tmp_path / "x.meta.json").read_text())["route"] == route
 
     def test_decayed_echo_keeps_a_finite_log(self, state_dir, tmp_path):
-        # le underflows to 0.0 while the route's log_le stays finite; only
-        # spinstar-analytic rows, which take the log of the printed le,
-        # print -inf
+        # le underflows to 0.0 while log_le stays finite, on the momentum
+        # route and in the cosine product, 2 sum_k log|cos| (Jt = 10)
         out = tmp_path / "x.csv"
-        assert main(["run", "--mode", "free", "--N", "6000", "--lambda", "1.0",
-                     "--epsilon", "2.0", "--links", "all", "--tmax", "1.0",
-                     "--points", "2", "--out", str(out)]) == 0
-        _, rows = _read_csv(out)
-        assert rows[1][:2] == ["1.0", "0.0"]
-        assert float(rows[1][2]) == pytest.approx(-1013.1, abs=0.05)
+        for argv, t, log_le in [
+            (["--mode", "free", "--lambda", "1.0", "--tmax", "1.0", "--points", "2"],
+             "1.0", -1013.1),
+            (["--mode", "spinstar-analytic", "--dt", "0.01", "--tmax", "10",
+              "--points", "6"], "10.0", -1050.013),
+        ]:
+            assert main(["run", *argv, "--N", "6000", "--epsilon", "2", "--links", "all",
+                         "--out", str(out)]) == 0
+            _, rows = _read_csv(out)
+            assert rows[-1][:2] == [t, "0.0"]
+            assert float(rows[-1][2]) == pytest.approx(log_le, abs=0.05)
 
     def test_odd_n_is_config_error(self, state_dir, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -513,6 +535,7 @@ class TestCheckAndCalibrate:
         assert "oracle check" in captured
         header, rows = _read_csv(out)
         assert header[0] == "check"
+        assert {r[header.index("epsilon")] for r in rows} == {"0.25"}  # the specs' coupling
         assert max(float(r[-1]) for r in rows) <= 1e-8
 
     def test_check_fails_on_nan_residual(self, state_dir, tmp_path, capsys,
@@ -526,6 +549,46 @@ class TestCheckAndCalibrate:
         assert "oracle check FAILED" in capsys.readouterr().err
         sidecar = json.loads((tmp_path / "check.meta.json").read_text())
         assert sidecar["oracle_check"]["max_abs_diff"] is None
+
+    @pytest.mark.parametrize("payload, source", [
+        ([1, 2], "calibrated"),
+        ({"version": __version__, "max_residual": "small"}, "calibrated"),
+        ({"version": __version__, "max_residual": 1e-14}, "cache"),
+        ({"version": __version__, "boundary_sign": -1, "det_exponent": 1,
+          "max_residual": 1e-14}, "cache"),
+        ({"version": __version__, "boundary_sign": 1, "det_exponent": 2,
+          "max_residual": 1e-14}, "cache"),
+    ], ids=["list", "non-numeric-residual", "current", "old-format", "other-pair"])
+    def test_state_file_read_or_recalibrated(self, state_dir, tmp_path, capsys,
+                                             payload, source):
+        # the pair printed and recorded is the frozen one, whatever the file says
+        state_dir.mkdir()
+        (state_dir / "calibration.json").write_text(json.dumps(payload))
+        assert main(["calibrate"]) == 0
+        printed = capsys.readouterr().out
+        assert "boundary_sign = -1\ndet_exponent  = 1\n" in printed
+        assert f"source = {source}" in printed
+        if source == "cache":
+            out = tmp_path / "free.csv"
+            assert main(["run", "--config",
+                         str(_write_config(tmp_path, FREE_INI.format(out=out)))]) == 0
+            conv = json.loads((tmp_path / "free.meta.json").read_text())["conventions"]
+            assert conv == {"boundary_sign": -1, "det_exponent": 1,
+                            "max_residual": 1e-14, "source": "cache"}
+        else:
+            stored = json.loads((state_dir / "calibration.json").read_text())
+            assert set(stored) == {"version", "max_residual"}
+
+    def test_scan_off_the_frozen_pair_refused(self, state_dir, capsys, monkeypatch):
+        from bbecho import oracle
+
+        monkeypatch.setattr(oracle, "calibrate_conventions", lambda specs: (
+            oracle.CalibrationResult(boundary_sign=1, det_exponent=1,
+                                     max_residual=0.0, residuals={})))
+        assert main(["calibrate"]) == 2
+        err = capsys.readouterr().err
+        assert "calibration result (1, 1) disagrees with the frozen conventions (-1, 1)" in err
+        assert not (state_dir / "calibration.json").exists()
 
     def test_calibrate_caches_result(self, state_dir, capsys):
         assert main(["calibrate"]) == 0

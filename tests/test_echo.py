@@ -74,6 +74,10 @@ class TestLoschmidtPulsed:
         assert series.points[0].t == 0.0 and series.points[0].le == 1.0
         assert np.all(series.le >= 0.0) and np.all(series.le <= 1.0 + 1e-9)
 
+    def test_descending_times_rejected(self):
+        with pytest.raises(SpecError, match="ascending"):
+            list(echo.family(_spec(N=6), (1.0,), (0.3,), [1.0, 0.5]))
+
     def test_branch_formulas_agree_at_boundary(self):
         data = echo._BranchData(_spec(N=6))
         dt = 0.4
@@ -502,6 +506,16 @@ class TestSweep:
     def test_empty_axes_rejected(self):
         with pytest.raises(SpecError, match="axes"):
             sweep(_spec(), lambdas=[], delta_ts=[0.1], t_star=1.0, half_width=0.5)
+
+    @pytest.mark.parametrize("t_star, half_width, message", [
+        (2.0, 0.0, "positive averaging half-width"),
+        (2.0, -1.0, "positive averaging half-width"),
+        (0.5, 1.0, "below t = 0"),
+    ], ids=["zero-width", "negative-width", "below-zero"])
+    def test_window_refused(self, t_star, half_width, message):
+        with pytest.raises(SpecError, match=message):
+            sweep(_spec(), lambdas=[1.0], delta_ts=[0.4], t_star=t_star,
+                  half_width=half_width)
 
     @pytest.mark.parametrize("window_points", [-5, 0, 1])
     def test_window_needs_two_points(self, window_points):

@@ -8,7 +8,7 @@ import pytest
 
 from bbecho import cli, echo, freefermion, oracle
 from bbecho.echo import loschmidt_free, loschmidt_pulsed
-from bbecho.model import ChainSpec, PulseSchedule, TimeGrid
+from bbecho.model import ChainSpec, PulseSchedule, SpecError, TimeGrid
 from bbecho.oracle import (CalibrationError, DegenerateGroundStateError,
                            OracleSizeError, amplitude_free, amplitude_pulsed,
                            build_hamiltonian, calibrate_conventions,
@@ -174,6 +174,11 @@ class TestAmplitudePulsed:
         pulsed = amplitude_pulsed(spec, PulseSchedule(delta_t=10.0), ts)
         free = amplitude_free(spec, ts)
         np.testing.assert_allclose(pulsed, free, atol=1e-12)
+
+    def test_descending_times_rejected(self):
+        spec = ChainSpec(N=4, lam=0.5, epsilon=0.25, links=(1,))
+        with pytest.raises(SpecError, match="ascending"):
+            amplitude_pulsed(spec, PulseSchedule(delta_t=0.3), [1.0, 0.5])
 
     def test_zero_coupling_magnitude_one(self):
         spec = ChainSpec(N=4, lam=1.2, epsilon=0.0, links=(1,))
@@ -363,6 +368,19 @@ class TestCalibrateConventions:
         assert list(result.residuals.items()) == list(expected.items())
         assert result.max_residual == expected[(-1, 1)]
         assert expected[(1, 1)] == expected[(1, 2)] == math.inf
+
+    @pytest.mark.parametrize("amplitude, message", [
+        (2.0, "no candidate matched"),
+        (1.0, "4 candidates matched"),
+    ], ids=["none", "several"])
+    def test_scan_needs_exactly_one_match(self, monkeypatch, amplitude, message):
+        # every candidate gets the echo 1; the oracle reads amplitude**2
+        monkeypatch.setattr(echo, "_BranchData", lambda spec, bs: None)
+        monkeypatch.setattr(echo, "_free_log_dets", lambda data, ts: np.zeros(len(ts)))
+        monkeypatch.setattr(oracle, "amplitude_free",
+                            lambda spec, ts: np.full(len(ts), amplitude + 0j))
+        with pytest.raises(CalibrationError, match=f"{message} at tol=1e-08"):
+            calibrate_conventions([ChainSpec(N=4, lam=0.5, epsilon=0.25, links=(1,))])
 
     def test_empty_suite_rejected(self):
         with pytest.raises(CalibrationError, match="at least one"):

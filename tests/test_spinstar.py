@@ -6,7 +6,8 @@ import pytest
 from bbecho.echo import loschmidt_effective
 from bbecho.model import ChainSpec, PulseSchedule, SpecError, TimeGrid
 from bbecho.spinstar import (amplitude_closed_form, effective_coupling,
-                             gamma_coefficient, gaussian_envelope, modes)
+                             gamma_coefficient, gaussian_envelope,
+                             log_echo_closed_form, modes)
 
 
 class TestModes:
@@ -89,6 +90,21 @@ class TestAmplitudeClosedForm:
         factors = np.cos(8.0 * t * eps_eff * np.sin(2.0 * np.pi * k / n))
         expected = math.exp(np.sum(np.log(np.abs(factors))))
         assert abs(amplitude_closed_form(n, eps_eff, t)) == pytest.approx(expected, rel=1e-10)
+
+    def test_log_echo_is_twice_the_log_amplitude(self):
+        rng = np.random.default_rng(13)
+        for n in (4, 300, 3000):
+            eps_eff = rng.uniform(0, 1)
+            ts = np.concatenate([[0.0], rng.uniform(0, 30, 20)])
+            log_le = log_echo_closed_form(n, eps_eff, ts)
+            assert log_le.shape == ts.shape and np.all(np.isfinite(log_le))
+            for t, value in zip(ts, log_le):
+                amp = amplitude_closed_form(n, eps_eff, float(t))
+                if abs(amp) >= np.finfo(float).tiny:  # a normal float
+                    assert value == pytest.approx(2.0 * math.log(abs(amp)),
+                                                  rel=1e-15, abs=1e-15)
+                else:
+                    assert value < -1400.0  # 2 * -708: the amplitude left the range
 
 
 class TestGammaCoefficient:
