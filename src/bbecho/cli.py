@@ -16,13 +16,14 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, conventions, echo, oracle
-from .config import (ConfigError, RunConfig, build_run_config, config_as_dict,
-                     read_config_file, read_preset)
+from .config import (FLAGS, ConfigError, RunConfig, build_run_config,
+                     config_as_dict, read_config_file, read_preset)
 from .freefermion import DegenerateFillingError
 from .model import ChainSpec, PulseSchedule, SpecError
 from .oracle import CalibrationError, DegenerateGroundStateError
@@ -82,43 +83,24 @@ def _closed_form(config: RunConfig) -> echo.EchoSeries:
     return echo._series(ts, log_echo_closed_form(spec.N, eps_eff, ts).tolist(), "analytic")
 
 
-# Each entry looks echo.loschmidt_* up at call time, so a wrapper installed
-# on the echo module sees the call.
-_SERIES = {
-    "free": lambda c: echo.loschmidt_free(c.spec, c.grid),
-    "pulsed": lambda c: echo.loschmidt_pulsed(c.spec, c.schedule, c.grid),
-    "effective": lambda c: echo.loschmidt_effective(c.spec, c.schedule, c.grid),
-    "spinstar-analytic": _closed_form,
-}
+def _table(columns: tuple[str, ...], groups) -> tuple[list[str], list[list]]:
+    """The columns and, for each (labels, records) pair of groups, one row
+    per record: the labels, then the record's fields in order."""
+    return list(columns), [[*labels, *astuple(record)]
+                           for labels, records in groups for record in records]
 
 
-def _run_series(config: RunConfig) -> tuple[list[str], list[list]]:
-    """One series, or with [axes] a curve family: per lambda the uncontrolled
-    series, then one pulsed series per interval, behind lambda,delta_t columns."""
-    axes = config.axes
-    if axes is None:
-        series = _SERIES[config.mode](config)
-        return ["t", "le", "log_le", "kind"], [[p.t, p.le, p.log_le, p.kind]
-                                               for p in series.points]
-    family = echo.family(config.spec, axes.lambdas, axes.delta_ts or (),
-                         config.grid.times())
-    rows = [[lam, dt, p.t, p.le, p.log_le, p.kind]
-            for lam, dt, series in family for p in series.points]
-    return ["lambda", "delta_t", "t", "le", "log_le", "kind"], rows
+_ECHO = ("t", "le", "log_le", "kind")
 
 
-def _run_sweep(config: RunConfig) -> tuple[list[str], list[list]]:
-    axes = config.axes
-    rows = echo.sweep(
-        config.spec,
-        lambdas=axes.lambdas,
-        delta_ts=axes.delta_ts,
-        t_star=axes.t_star,
-        half_width=axes.half_width,
-        window_points=axes.window_points,
-    )
-    table = [[r.lam, r.delta_t, r.le_pulsed, r.le_free, r.ratio] for r in rows]
-    return ["lambda", "delta_t", "le_pulsed", "le_free", "ratio"], table
+def _echo(series: echo.EchoSeries) -> tuple[list[str], list[list]]:
+    return _table(_ECHO, [((), series.points)])
+
+
+def _worst(rows: list[list]) -> float:
+    """The largest residual, the last cell of each row. np.max keeps a NaN
+    residual, which the caller must see as a failure."""
+    return float(np.max([row[-1] for row in rows]))
 
 
 def oracle_check_suite() -> tuple[list[list], float]:
@@ -135,8 +117,27 @@ def oracle_check_suite() -> tuple[list[list], float]:
                        oracle.amplitude_pulsed(spec, PulseSchedule(delta_t=dt), ts))
                 diff = float(np.max(np.abs(series.le - np.abs(amp) ** 2)))
                 rows.append([series.points[0].kind, n, lam, spec.epsilon, len(links), dt, diff])
-    # np.max keeps a NaN residual, which the caller must see as a failure
-    return rows, float(np.max([row[-1] for row in rows]))
+    return rows, _worst(rows)
+
+
+# mode -> config -> (columns, rows); "family" is the curve family that
+# free and pulsed write with an [axes] section. Each entry looks echo.*
+# up at call time, so a wrapper installed on the echo module sees the call.
+_RUNS = {
+    "free": lambda c: _echo(echo.loschmidt_free(c.spec, c.grid)),
+    "pulsed": lambda c: _echo(echo.loschmidt_pulsed(c.spec, c.schedule, c.grid)),
+    "effective": lambda c: _echo(echo.loschmidt_effective(c.spec, c.schedule, c.grid)),
+    "spinstar-analytic": lambda c: _echo(_closed_form(c)),
+    # per lambda the uncontrolled series, then one pulsed series per interval
+    "family": lambda c: _table(("lambda", "delta_t") + _ECHO, (
+        ((lam, dt), series.points) for lam, dt, series in echo.family(
+            c.spec, c.axes.lambdas, c.axes.delta_ts or (), c.grid.times()))),
+    # the [axes] fields are the keyword arguments of echo.sweep
+    "sweep": lambda c: _table(("lambda", "delta_t", "le_pulsed", "le_free", "ratio"),
+                              [((), echo.sweep(c.spec, **vars(c.axes)))]),
+    "oracle-check": lambda c: (["check", "N", "lambda", "epsilon", "m", "delta_t",
+                                "max_abs_diff"], oracle_check_suite()[0]),
+}
 
 
 def _execute(config: RunConfig) -> int:
@@ -150,18 +151,15 @@ def _execute(config: RunConfig) -> int:
     extra: dict = {}
     if config.mode in ("free", "pulsed", "sweep"):
         extra["route"] = echo.route(config.spec)
-    if config.mode == "sweep":
-        columns, rows = _run_sweep(config)
-    elif config.mode == "oracle-check":
-        rows, worst = oracle_check_suite()
-        columns = ["check", "N", "lambda", "epsilon", "m", "delta_t", "max_abs_diff"]
-        extra = {"oracle_check": {"max_abs_diff": _json_safe(worst),
-                                  "tol": oracle.TOL}}
-    else:
-        columns, rows = _run_series(config)
+    family = config.axes is not None and config.mode != "sweep"
+    columns, rows = _RUNS["family" if family else config.mode](config)
+    checked = config.mode == "oracle-check"
+    if checked:
+        worst = _worst(rows)
+        extra["oracle_check"] = {"max_abs_diff": _json_safe(worst), "tol": oracle.TOL}
     _write_table(out, config.fmt, columns, rows)
     _write_sidecar(out, config, conv, extra)
-    if config.mode == "oracle-check":
+    if checked:
         print(f"oracle check: max |LE - LE_oracle| = {worst:.3e} "
               f"(tol {oracle.TOL:g}) over {len(rows)} combinations")
         if not worst <= oracle.TOL:
@@ -171,32 +169,15 @@ def _execute(config: RunConfig) -> int:
     return 0
 
 
-# Every flag is a plain string parsed by the config key it overrides.
-_FLAGS = {
-    "--mode": ("run", "mode"),
-    "--out": ("run", "out"),
-    "--format": ("run", "format"),
-    "--N": ("spec", "N"),
-    "--lambda": ("spec", "lambda"),
-    "--epsilon": ("spec", "epsilon"),
-    "--links": ("spec", "links"),
-    "--dt": ("schedule", "delta_t"),
-    "--tmax": ("grid", "t_max"),
-    "--points": ("grid", "points"),
-    "--tstar": ("axes", "t_star"),
-    "--halfwidth": ("axes", "half_width"),
-}
-
-
 def _add_flags(sub: argparse.ArgumentParser, flags) -> None:
     for flag in flags:
-        section, key = _FLAGS[flag]
+        section, key = FLAGS[flag]
         sub.add_argument(flag, dest=flag, metavar=key, help=f"overrides [{section}] {key}")
 
 
 def _execute_raw(raw: dict[str, dict[str, str]], args: argparse.Namespace) -> int:
     """Apply the flags given on the command line to raw config text and run it."""
-    for flag, (section, key) in _FLAGS.items():
+    for flag, (section, key) in FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
             raw.setdefault(section, {})[key] = value
@@ -245,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a configured computation")
     run.add_argument("--config", help="structured-text config file")
-    _add_flags(run, _FLAGS)
+    _add_flags(run, FLAGS)
     run.set_defaults(func=_cmd_run)
 
     pre = sub.add_parser("preset", help="run a named figure preset")
@@ -272,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (CalibrationError, DegenerateFillingError,
-            DegenerateGroundStateError) as exc:
+            DegenerateGroundStateError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

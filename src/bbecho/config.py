@@ -2,8 +2,9 @@
 
 A run is described by a flat key/value file with one section per
 sub-record ([run], [spec], [schedule], [grid], [axes]). One table,
-``_KEYS``, maps every settable key to its record field and parser; config
-files, command-line flags and the figure presets all pass through it.
+``_KEYS``, maps every settable key to its record field, its parser and
+its command-line flag, if it has one; config files, flags and the figure
+presets all pass through it.
 Unknown sections or keys are errors, and a value that does not parse
 names its ``[section] key``. A second table, ``_MODES``, names the
 sections each mode needs and the keys it reads; a key the mode does not
@@ -57,6 +58,10 @@ class RunConfig:
                               "or [axes] delta_ts")
         if self.mode == "sweep" and None in (self.axes.t_star, self.axes.half_width):
             raise ConfigError("sweep axes need t_star and half_width")
+        if (self.grid is not None and self.grid.mode == "cycles"
+                and (self.mode == "free" or self.axes is not None)):
+            raise ConfigError("[grid] mode = cycles needs a series with one pulse "
+                              "interval, not mode free or an [axes] curve family")
         return self
 
 
@@ -74,27 +79,29 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return values
 
 
-# (section, key) -> (record field, parser). [run] keys are RunConfig fields;
-# every other section builds the record in _RECORDS.
+# (section, key) -> (record field, parser, command-line flag or None).
+# [run] keys are RunConfig fields; every other section builds the record
+# in _RECORDS. A flag is a plain string parsed as the key it overrides.
 _KEYS = {
-    ("run", "mode"): ("mode", str),
-    ("run", "out"): ("out", str),
-    ("run", "format"): ("fmt", str),
-    ("spec", "N"): ("N", int),
-    ("spec", "J"): ("J", float),
-    ("spec", "lambda"): ("lam", float),
-    ("spec", "epsilon"): ("epsilon", float),
-    ("spec", "links"): ("links", _parse_links),
-    ("schedule", "delta_t"): ("delta_t", float),
-    ("grid", "t_max"): ("t_max", float),
-    ("grid", "points"): ("n_points", int),
-    ("grid", "mode"): ("mode", str),
-    ("axes", "lambdas"): ("lambdas", _parse_floats),
-    ("axes", "delta_ts"): ("delta_ts", _parse_floats),
-    ("axes", "t_star"): ("t_star", float),
-    ("axes", "half_width"): ("half_width", float),
-    ("axes", "window_points"): ("window_points", int),
+    ("run", "mode"): ("mode", str, "--mode"),
+    ("run", "out"): ("out", str, "--out"),
+    ("run", "format"): ("fmt", str, "--format"),
+    ("spec", "N"): ("N", int, "--N"),
+    ("spec", "J"): ("J", float, None),
+    ("spec", "lambda"): ("lam", float, "--lambda"),
+    ("spec", "epsilon"): ("epsilon", float, "--epsilon"),
+    ("spec", "links"): ("links", _parse_links, "--links"),
+    ("schedule", "delta_t"): ("delta_t", float, "--dt"),
+    ("grid", "t_max"): ("t_max", float, "--tmax"),
+    ("grid", "points"): ("n_points", int, "--points"),
+    ("grid", "mode"): ("mode", str, None),
+    ("axes", "lambdas"): ("lambdas", _parse_floats, None),
+    ("axes", "delta_ts"): ("delta_ts", _parse_floats, None),
+    ("axes", "t_star"): ("t_star", float, "--tstar"),
+    ("axes", "half_width"): ("half_width", float, "--halfwidth"),
+    ("axes", "window_points"): ("window_points", int, None),
 }
+FLAGS = {flag: pair for pair, (_, _, flag) in _KEYS.items() if flag}
 _RECORDS = {"spec": ChainSpec, "schedule": PulseSchedule, "grid": TimeGrid,
             "axes": SweepAxes}
 
@@ -159,7 +166,7 @@ def _section(section: str, values: dict[str, str], reads: frozenset):
     """
     kwargs = {}
     for key, text in values.items():
-        field, parse = _KEYS[section, key]
+        field, parse, _ = _KEYS[section, key]
         try:
             kwargs[field] = parse(text)
         except ValueError as exc:
@@ -168,7 +175,7 @@ def _section(section: str, values: dict[str, str], reads: frozenset):
         return kwargs
     record = _RECORDS[section]
     required = {f.name for f in fields(record) if f.default is MISSING}
-    for (sec, key), (field, _) in _KEYS.items():
+    for (sec, key), (field, *_) in _KEYS.items():
         if sec == section and field in required and field not in kwargs:
             if (sec, key) not in reads:
                 kwargs[field] = 0.0
@@ -212,7 +219,7 @@ def config_as_dict(config: RunConfig) -> dict:
     """JSON-ready snapshot of the keys the mode reads, laid out as _KEYS."""
     out: dict = {}
     reads = _MODES[config.mode][1]
-    for (section, key), (field, _) in _KEYS.items():
+    for (section, key), (field, *_) in _KEYS.items():
         record = config if section == "run" else getattr(config, section)
         if record is None or (section, key) not in reads:
             continue

@@ -136,11 +136,17 @@ def _real_times(r: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _series(ts: np.ndarray, log_dets: Sequence[float], kind: str) -> EchoSeries:
-    """Echo points from log L; t = 0 is exactly one on every route."""
+    """Echo points from log L; t = 0 is exactly one on every route.
+
+    Raises FloatingPointError where log L is NaN or +inf, which no echo
+    is; -inf, an echo of exactly zero, is kept.
+    """
     points = []
     for t, log_le in zip(ts, log_dets):
         if t == 0.0:
             log_le = 0.0
+        if not log_le < math.inf:
+            raise FloatingPointError(f"echo at t = {float(t)!r} has log L = {log_le}")
         value = math.exp(log_le) if log_le > -745.0 else 0.0
         points.append(EchoPoint(t=float(t), le=value, log_le=log_le, kind=kind))
     return EchoSeries(points=tuple(points))

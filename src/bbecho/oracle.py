@@ -266,10 +266,10 @@ def calibrate_conventions(specs: Sequence[ChainSpec]) -> CalibrationResult:
             # sea on this suite; the candidate is out
             log_dets = []
         for p in (1, 2):
-            worst = 0.0 if log_dets else math.inf
-            for spec, log_det in zip(specs, log_dets):
-                det = np.exp(p * log_det)
-                worst = max(worst, float(np.max(np.abs(det - oracle_le[spec]))))
+            # np.max keeps a NaN residual, so a NaN echo matches no candidate
+            worst = (float(np.max([np.abs(np.exp(p * log_det) - oracle_le[spec])
+                                   for spec, log_det in zip(specs, log_dets)]))
+                     if log_dets else math.inf)
             residuals[(bs, p)] = worst
             if worst <= TOL:
                 matches.append((bs, p))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bbecho import __version__, echo
+from bbecho import __version__, conventions, echo
 from bbecho.cli import main
 from bbecho.config import (ConfigError, build_run_config, preset,
                            read_config_file)
@@ -441,6 +441,18 @@ class TestRunCommand:
             assert rows[-1][:2] == [t, "0.0"]
             assert float(rows[-1][2]) == pytest.approx(log_le, abs=0.05)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+    @pytest.mark.parametrize("links", ["1", "all"], ids=["determinant", "momentum"])
+    def test_nan_echo_is_numerical_error(self, state_dir, tmp_path, capsys, links):
+        # the phases overflow at t = 5e307; a NaN log must not print le = 0.0
+        out = tmp_path / "x.csv"
+        assert main(["run", "--mode", "free", "--N", "8", "--lambda", "1",
+                     "--epsilon", "0.25", "--links", links, "--tmax", "1e308",
+                     "--points", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical error: echo at t = 5e+307 has log L = nan\n"
+        assert not out.exists() and not (tmp_path / "x.meta.json").exists()
+
     def test_odd_n_is_config_error(self, state_dir, tmp_path, capsys):
         out = tmp_path / "x.csv"
         ini = FREE_INI.format(out=out).replace("N = 8", "N = 7")
@@ -511,6 +523,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: [grid] ") and "n_points" in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("mode, extra", [
+        ("free", ""),
+        ("free", "\n[axes]\nlambdas = 0.5, 1.5\n"),
+        ("pulsed", "\n[schedule]\ndelta_t = 0.25\n\n[axes]\nlambdas = 0.5, 1.5\n"),
+    ], ids=["free", "free-family", "pulsed-family"])
+    def test_cycle_grid_needs_one_interval(self, state_dir, tmp_path, capsys, mode, extra):
+        out = tmp_path / "x.csv"
+        ini = FREE_INI.format(out=out).replace("points = 11", "mode = cycles") + extra
+        assert main(["run", "--config", str(_write_config(tmp_path, ini)),
+                     "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err == ("config error: [grid] mode = cycles needs a series with one "
+                       "pulse interval, not mode free or an [axes] curve family\n")
+        assert not out.exists()
 
     def test_degenerate_sector_is_numerical_error(self, state_dir, tmp_path, capsys,
                                                   monkeypatch):
@@ -589,6 +616,18 @@ class TestCheckAndCalibrate:
         err = capsys.readouterr().err
         assert "calibration result (1, 1) disagrees with the frozen conventions (-1, 1)" in err
         assert not (state_dir / "calibration.json").exists()
+
+    @pytest.mark.parametrize("xdg", [True, False], ids=["xdg", "home"])
+    def test_state_dir_fallbacks(self, tmp_path, monkeypatch, xdg):
+        # without BBECHO_STATE_DIR: $XDG_CACHE_HOME/bbecho, else ~/.cache/bbecho
+        monkeypatch.delenv("BBECHO_STATE_DIR", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        if xdg:
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        else:
+            monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        expected = tmp_path / "xdg" if xdg else tmp_path / "home" / ".cache"
+        assert conventions.state_dir() == expected / "bbecho"
 
     def test_calibrate_caches_result(self, state_dir, capsys):
         assert main(["calibrate"]) == 0

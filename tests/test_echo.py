@@ -34,6 +34,16 @@ class TestLoschmidtFree:
             if p.le > 1e-300:
                 assert p.le == pytest.approx(np.exp(p.log_le), rel=1e-12)
 
+    @pytest.mark.parametrize("log_le", [np.nan, np.inf])
+    def test_log_that_is_no_echo_refused(self, log_le):
+        # every route builds its points here; le = 0.0 must not stand for it
+        with pytest.raises(FloatingPointError, match=f"t = 2.0 has log L = {log_le}"):
+            echo._series(np.array([0.0, 2.0]), [0.0, log_le], "free")
+
+    def test_zero_echo_kept(self):
+        point = echo._series(np.array([0.0, 2.0]), [0.0, -np.inf], "free").points[-1]
+        assert (point.le, point.log_le) == (0.0, -np.inf)
+
     def test_spin_star_shift_identity(self):
         # spin-star echo equals the overlap of the lam ground state evolved
         # under the lam + eps/J bath, built through the shifted-field spec
@@ -478,6 +488,11 @@ class TestTimeAverage:
         series = self._constant_series()
         with pytest.raises(SpecError, match="span"):
             time_average(series, 9.0, 2.0)
+
+
+    def test_negative_half_width_rejected(self):
+        with pytest.raises(SpecError, match="half_width must be nonnegative"):
+            time_average(self._constant_series(), 5.0, -1.0)
 
 
 class TestSweep:

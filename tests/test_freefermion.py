@@ -161,12 +161,22 @@ class TestPropagator:
         assert propagator(m, 1.0, -1).U.shape == (8, 8)
 
 
+    @pytest.mark.parametrize("sign", [2, 0])
+    def test_sign_other_than_plus_minus_one_rejected(self, sign):
+        with pytest.raises(SpecError, match="sign must be"):
+            propagator(self.d, 1.0, sign)
+
+
 class TestGaussianOverlap:
     def test_identity_string_is_exactly_one(self):
         d = diagonalize(build_bdg(_spec(N=5, lam=0.8), "up"))
         r = ground_correlation(d)
         value, log_value = gaussian_overlap(r, [np.eye(10, dtype=complex)])
         assert value == 1.0 and log_value == 0.0
+
+    def test_empty_string_is_exactly_one(self):
+        r = ground_correlation(diagonalize(build_bdg(_spec(N=5, lam=0.8), "up")))
+        assert gaussian_overlap(r, []) == (1.0, 0.0)
 
     def test_identical_generators_give_unity(self):
         # eps = 0: both branches share one C, the echo string collapses

@@ -34,6 +34,8 @@ class TestChainSpec:
         dict(N=6, lam=1.0, epsilon=0.1, links=(1,), J=0.0),
         dict(N=6, lam=1.0, epsilon=0.1, links=(1,), J=-1.0),
         dict(N=6, lam=float("nan"), epsilon=0.1, links=(1,)),
+        dict(N=6.5, lam=1.0, epsilon=0.1, links=(1,)),
+        dict(N=6, lam=1.0, epsilon=0.1, links=1),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(SpecError):

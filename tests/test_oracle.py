@@ -65,6 +65,10 @@ class TestBuildHamiltonian:
                     build_hamiltonian(spec, branch).matrix,
                     _kron_hamiltonian(spec, branch))
 
+    def test_unknown_branch_rejected(self):
+        with pytest.raises(SpecError, match="branch must be 'up' or 'down'"):
+            build_hamiltonian(ChainSpec(N=4, lam=1.0, epsilon=0.25, links=(1,)), "left")
+
     def test_two_site_toy_matches_hand_expansion(self):
         spec = ChainSpec(N=2, lam=0.0, epsilon=0.0, links=(1,))
         h = build_hamiltonian(spec, "up")
@@ -381,6 +385,14 @@ class TestCalibrateConventions:
                             lambda spec, ts: np.full(len(ts), amplitude + 0j))
         with pytest.raises(CalibrationError, match=f"{message} at tol=1e-08"):
             calibrate_conventions([ChainSpec(N=4, lam=0.5, epsilon=0.25, links=(1,))])
+
+    def test_nan_residual_on_one_spec_fails(self, monkeypatch):
+        specs = default_calibration_specs()
+        original = oracle.amplitude_free
+        monkeypatch.setattr(oracle, "amplitude_free", lambda spec, ts: (
+            np.full(len(ts), np.nan + 0j) if spec == specs[3] else original(spec, ts)))
+        with pytest.raises(CalibrationError, match="no candidate matched"):
+            calibrate_conventions(specs)
 
     def test_empty_suite_rejected(self):
         with pytest.raises(CalibrationError, match="at least one"):

@@ -19,6 +19,11 @@ class TestModes:
         assert ms[1].eps_k == pytest.approx(2.0, abs=1e-15)   # cos(pi) = -1
         assert ms[1].delta_k == pytest.approx(0.0, abs=1e-15)
 
+    def test_zero_dispersion_angle(self):
+        # lam = cos(pi/2) as a double makes eps_1 exactly 0: the angle is pi/2
+        ms = modes(4, math.cos(math.pi / 2))
+        assert ms[0].eps_k == 0.0 and ms[0].theta_k == math.pi / 2
+
     def test_single_mode_n2(self):
         ms = modes(2, 0.0)
         assert len(ms) == 1
