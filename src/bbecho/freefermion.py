@@ -39,7 +39,8 @@ logarithm.
 
 ``propagator`` and ``gaussian_overlap`` evaluate the 2N x 2N form
 directly and serve as the reference; the echo module evaluates the
-N x N form in the eigenbasis of the unperturbed branch.
+N x N form in the real Majorana bases of the two branches, which take
+one N x N SVD of A + B each.
 """
 
 from __future__ import annotations

@@ -243,9 +243,9 @@ def test_10_invariant_fuzzer():
                 assert np.all(series.le <= 1.0 + 1e-9)
 
             data = echo._BranchData(spec)
-            rows = echo._carried_rows(data)
-            le1 = np.exp(echo._residual_log_det(data, rows, dt, dt, 1))
-            le2 = np.exp(echo._residual_log_det(data, rows, dt, dt, 2))
+            rows, residual = echo._carried_rows(data), echo._Residual(data, dt)
+            le1 = np.exp(residual(rows, dt, 1))
+            le2 = np.exp(residual(rows, dt, 2))
             assert abs(le1 - le2) <= 1e-9
 
         from dataclasses import replace

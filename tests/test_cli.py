@@ -441,6 +441,18 @@ class TestRunCommand:
             assert rows[-1][:2] == [t, "0.0"]
             assert float(rows[-1][2]) == pytest.approx(log_le, abs=0.05)
 
+    @pytest.mark.parametrize("dt", ["1e-12", "1e-6"])
+    def test_fast_pulsing_keeps_the_echo_at_most_one(self, state_dir, tmp_path, dt):
+        # 5e11 cycles by t = 1 at dt = 1e-12; the determinant route held
+        # the echo only as long as its cycle stayed orthogonal
+        out = tmp_path / "x.csv"
+        assert main(["run", "--mode", "pulsed", "--N", "8", "--lambda", "1",
+                     "--epsilon", "0.25", "--links", "1", "--tmax", "1",
+                     "--points", "3", "--dt", dt, "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert [row[0] for row in rows] == ["0.0", "0.5", "1.0"]
+        assert all(0.0 <= float(row[1]) <= 1.0 + 1e-12 for row in rows)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
     @pytest.mark.parametrize("links", ["1", "all"], ids=["determinant", "momentum"])
     def test_nan_echo_is_numerical_error(self, state_dir, tmp_path, capsys, links):

@@ -91,9 +91,9 @@ class TestLoschmidtPulsed:
     def test_branch_formulas_agree_at_boundary(self):
         data = echo._BranchData(_spec(N=6))
         dt = 0.4
-        rows = echo._carried_rows(data)
-        le1 = np.exp(echo._residual_log_det(data, rows, dt, dt, 1))
-        le2 = np.exp(echo._residual_log_det(data, rows, dt, dt, 2))
+        rows, residual = echo._carried_rows(data), echo._Residual(data, dt)
+        le1 = np.exp(residual(rows, dt, 1))
+        le2 = np.exp(residual(rows, dt, 2))
         assert abs(le1 - le2) <= 1e-9
 
     def test_continuous_across_cycle_boundary(self):
@@ -176,31 +176,48 @@ class TestOccupiedSubspaceKernel:
                 assert abs(p.log_le - log_value) <= 1e-10
 
 
-def _extended_replay(data, dt, ts):
-    """log|det| of the pulsed string from data's float64 K and energies, with
-    the cycle F~ = K D_down K^T D_up formed and binary-powered in extended
-    precision, the occupied rows X = F~^M[:N] and the residual
-    det(Z D_up(sigma - dt) K D_down(-sigma) (X K)^H), Z = X or X F~."""
-    k = data.k.astype(np.longdouble)
-
-    def d(e, x):
-        return np.exp(np.clongdouble(1j) * e.astype(np.longdouble) * np.longdouble(x))
-
+def _extended_replay(data, dt, ts, reorthogonalize=False):
+    """log|det| of the pulsed string from data's float64 K blocks and energies,
+    replayed in extended precision: the Majorana cycle
+    G = R_down(-dt) K^T R_up(-dt) K, binary-powered, the occupied rows
+    P = P_0 G^M with P_0 = [k_1, -i k_2] / sqrt(2), and the residual
+    det(P R_down(-t_res) K^T R_up(t_res - dt) K P^H) before the mid-cycle
+    pulse or det(P R_down(-dt) K^T R_up(-s) K R_down(s) P^H), s = t_res - dt,
+    after it. With reorthogonalize, Newton-Schulz steps first make each
+    block of K orthogonal in extended precision."""
     n = data.spec.N
-    cycle = (k * d(data.e_down, dt)) @ (k.T * d(data.e_up, dt))
+    blocks = data.k.astype(np.longdouble)
+    if reorthogonalize:
+        for _ in range(6):
+            blocks = blocks @ (1.5 * np.eye(n, dtype=np.longdouble)
+                               - 0.5 * blocks.transpose(0, 2, 1) @ blocks)
+        assert np.max(np.abs(blocks.transpose(0, 2, 1) @ blocks - np.eye(n))) <= 1e-18
+    k = np.zeros((2 * n, 2 * n), dtype=np.longdouble)
+    k[:n, :n], k[n:, n:] = blocks
+
+    def rot(e, x):
+        angle = e.astype(np.longdouble) * np.longdouble(x)
+        c, s = np.diag(np.cos(angle)), np.diag(np.sin(angle))
+        return np.block([[c, s], [-s, c]])
+
+    cycle = rot(data.e_down, -dt) @ k.T @ rot(data.e_up, -dt) @ k
+    p0 = np.hstack([blocks[0], -1j * blocks[1]]) / np.sqrt(np.longdouble(2))
     out = []
     for t in ts:
         m = int(np.floor(t / (2.0 * dt) + 1e-12))
         t_res = t - 2.0 * m * dt
-        x, power = np.eye(2 * n, dtype=np.clongdouble), cycle
+        p, power = p0.astype(np.clongdouble), cycle
         while m:
             if m & 1:
-                x = x @ power
+                p = p @ power
             power, m = power @ power, m >> 1
-        x = x[:n]
-        z, sigma = (x, t_res) if t_res < dt else (x @ cycle, t_res - dt)
-        mat = ((z * d(data.e_up, sigma - dt)) @ k * d(data.e_down, -sigma)) @ (x @ k).conj().T
-        out.append(np.linalg.slogdet(mat.astype(complex))[1])
+        if t_res < dt:
+            mid = rot(data.e_down, -t_res) @ k.T @ rot(data.e_up, t_res - dt) @ k
+        else:
+            s = t_res - dt
+            mid = (rot(data.e_down, -dt) @ k.T @ rot(data.e_up, -s) @ k
+                   @ rot(data.e_down, s))
+        out.append(np.linalg.slogdet((p @ mid @ p.conj().T).astype(complex))[1])
     return np.array(out)
 
 
@@ -249,6 +266,10 @@ class TestCycleJumps:
         data = echo._BranchData(spec)
         log_le = np.array(echo._pulsed_log_dets(data, dt, ts))
         assert np.max(np.abs(log_le - _extended_replay(data, dt, ts))) <= 1e-9
+        # against the same replay with K made orthogonal, the kernel's
+        # Newton-Schulz steps leave no drift of their own
+        exact = _extended_replay(data, dt, ts, reorthogonalize=True)
+        assert np.max(np.abs(log_le - exact)) <= 1e-11
 
 
 def _pair_reference(spec, dt, ts):
@@ -320,6 +341,16 @@ class TestMomentumRoute:
         pulsed = np.exp(echo._pulsed_log_dets(data, schedule.delta_t, ts))
         expected = np.abs(oracle.amplitude_pulsed(spec, schedule, ts)) ** 2
         assert np.max(np.abs(pulsed - expected)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_determinant_route_matches_over_long_train(self, n):
+        # up to 1500 cycles at dt = 0.01: the determinant route, forced
+        # through _BranchData, against the exact momentum route, where
+        # |log L| is only about 1e-6
+        spec = ChainSpec.spin_star(N=n, lam=1.0, epsilon=0.01)
+        dt, ts = 0.01, np.linspace(20.0, 30.0, 11)
+        det = echo._pulsed_log_dets(echo._BranchData(spec), dt, ts)
+        assert np.max(np.abs(spinstar.log_echo(spec, ts, dt) - det)) <= 1e-12
 
     def test_route_is_picked_from_the_spec(self, monkeypatch):
         built = []

@@ -337,6 +337,18 @@ class TestCalibrateConventions:
         result = calibrate_conventions(default_calibration_specs())
         assert (result.boundary_sign, result.det_exponent) == (-1, 1)
         assert result.max_residual <= 1e-8
+        # the +1 sector cannot fill its sea at lam = 1 (see below)
+        assert result.residuals[(1, 1)] == result.residuals[(1, 2)] == math.inf
+
+    def test_periodic_sector_refused_by_the_filling_guard(self):
+        # at lam = 1 the +1 sector has an exact zero mode: the smallest
+        # singular value of A + B is below half the 1e-12 gap threshold
+        spec = default_calibration_specs()[2]
+        assert spec.lam == 1.0
+        with pytest.raises(freefermion.DegenerateFillingError,
+                           match="filling boundary degenerate"):
+            echo._BranchData(spec, +1)
+        echo._BranchData(spec, -1)
 
     def test_each_sector_determinant_built_once(self, monkeypatch):
         specs = default_calibration_specs()
