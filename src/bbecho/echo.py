@@ -52,22 +52,27 @@ residual strings read
 with (x, alpha, y) = (t_res, t_res - dt, 0) in the first branch and
 (dt, dt - t_res, t_res - dt) in the second.
 
-The code keeps the rows transposed (P^T, 2N x N) and C-contiguous, so
-that every real operator acts on them as one float64 product over the
-interleaved real and imaginary parts: K as one batched product over the
-stacked (2, N, N) blocks, a rotation as one batched product of N 2 x 2
-matrices. A point then costs two products with K, two or three
-rotations, one N x 2N by 2N x N complex product and one N x N LU.
-Between points the rows advance by the exact integer number of cycles d
-through a binary ladder of held real powers G^(2^j), one 2N x 2N by
-2N x 2N product per set bit of d. Each held power gets one Newton-Schulz
-step X (3 - X^T X) / 2, so the rounding of K and of the squarings does
-not build up into a drift of the echo over long trains. The ladder lives
-for one series and grows only to the bit length of the largest jump, so
-at most log2(M) + 1 powers are held.
+One pulsed series is one _PulseTrain, which holds everything the series
+carries from point to point: the rows, the ladder of cycle powers and two
+work arrays. It keeps the rows transposed (P^T, 2N x N) and
+C-contiguous, so that every real operator acts on them as one float64
+product over the interleaved real and imaginary parts: K as one batched
+product over the stacked (2, N, N) blocks, a rotation as one batched
+product of N 2 x 2 matrices. A point (log_det) then costs two products
+with K, two or three rotations, one N x 2N by 2N x N complex product and
+one N x N LU. Between points the rows advance by the exact integer
+number of cycles d through a binary ladder of held real powers G^(2^j),
+one 2N x 2N by 2N x 2N product per set bit of d. Each held power gets one
+Newton-Schulz step X (3 - X^T X) / 2, so the rounding of K and of the
+squarings does not build up into a drift of the echo over long trains.
+The ladder grows only to the bit length of the largest jump, so at most
+log2(M) + 1 powers are held.
 
 The effective point is det(L D_eff(t) L^H) with L = W^T V_eff, in the
-eigenbasis V_eff, D_eff of C_eff below.
+eigenbasis V_eff, D_eff of C_eff below. Its filled sea comes from the
+same SVD of the up branch: in the fermion basis W = [u; v] with
+u = (Phi - Psi) / 2 and v = (Phi + Psi) / 2, so the effective echo takes
+no 2N x 2N eigh of C_up.
 
 For fast pulsing the echo is predicted by the effective generator
 C_eff = i (dt/2) [C_down, C_up], whose entries do not depend on the
@@ -117,17 +122,25 @@ class EchoSeries:
         return np.array([p.log_le for p in self.points])
 
 
-def _require_even_n(spec: ChainSpec) -> None:
-    """SpecError for odd N, where the calibrated antiperiodic sector misses
-    the oracle echo (by 8e-4 to 5e-2 at N = 3, 5, 7, one link, Jt <= 10)."""
+def _modes(spec: ChainSpec, branch: str, boundary_sign: int):
+    """SVD A + B = Psi diag(e) Phi^T of one branch, as (Psi, e, Phi^T).
+
+    Raises SpecError for odd N, where the calibrated antiperiodic sector
+    misses the oracle echo (by 8e-4 to 5e-2 at N = 3, 5, 7, one link,
+    Jt <= 10). For the up branch, whose modes are filled, it raises
+    DegenerateFillingError when the filled sea is ambiguous: a mode energy
+    below half the 1e-12 gap that freefermion.ground_correlation asks of
+    the 2N spectrum.
+    """
     if spec.N % 2:
         raise SpecError(f"the determinant echo needs even N, got N={spec.N}")
-
-
-def _modes(spec: ChainSpec, branch: str, boundary_sign: int):
-    """SVD A + B = Psi diag(e) Phi^T of one branch, as (Psi, e, Phi^T)."""
     m = freefermion.build_bdg(spec, branch, boundary_sign)
-    return np.linalg.svd(m.A + m.B)
+    psi, e, phi_t = np.linalg.svd(m.A + m.B)
+    if branch == "up" and 2.0 * e[-1] < 1e-12:
+        raise freefermion.DegenerateFillingError(
+            f"filling boundary degenerate: mode energies +-{float(e[-1])!r} "
+            "at the Fermi level")
+    return psi, e, phi_t
 
 
 class _BranchData:
@@ -135,19 +148,12 @@ class _BranchData:
 
     e_up and e_down are the mode energies, and k stacks the blocks k_1
     and k_2 of K as one (2, N, N) array; k_t holds their transposes.
-    Raises DegenerateFillingError when the filled sea is ambiguous (an up
-    mode energy below half the 1e-12 gap of freefermion.occupied_modes),
-    and SpecError for odd N (see _require_even_n).
+    Raises what _modes raises.
     """
 
     def __init__(self, spec: ChainSpec, boundary_sign: int = BOUNDARY_SIGN):
-        _require_even_n(spec)
         psi_up, self.e_up, phi_up_t = _modes(spec, "up", boundary_sign)
         psi_down, self.e_down, phi_down_t = _modes(spec, "down", boundary_sign)
-        if 2.0 * self.e_up[-1] < 1e-12:
-            raise freefermion.DegenerateFillingError(
-                f"filling boundary degenerate: mode energies +-{float(self.e_up[-1])!r} "
-                "at the Fermi level")
         self.spec = spec
         self.k = np.stack([phi_up_t @ phi_down_t.T, psi_up.T @ psi_down])
         self.k_t = np.ascontiguousarray(self.k.transpose(0, 2, 1))
@@ -207,62 +213,55 @@ def _orthogonalized(x: np.ndarray) -> np.ndarray:
     return x @ (1.5 * np.eye(len(x)) - 0.5 * (x.T @ x))
 
 
-class _CyclePowers:
-    """Held powers (G^T)^(2^j) of the real cycle G^T = K^T R_up(dt) K R_down(dt).
+class _PulseTrain:
+    """One pulsed series on the determinant route, carried from point to point.
 
-    Each power gets one Newton-Schulz step, so rounding in K and in the
-    squarings does not build up into a drift of the echo over long
-    trains. The ladder grows only as far as the largest jump asks, so a
-    series whose rows reach M cycles holds at most M.bit_length() matrices.
+    It holds the occupied rows P^T (times sqrt(2)) at the current cycle
+    count m, the ladder of held powers (G^T)^(2^j) of the real cycle
+    G^T = K^T R_up(dt) K R_down(dt), and two real (2, N, 2N) work arrays:
+    allocating those afresh made a point at N = 100 about 40% slower
+    (2 vCPUs, OpenBLAS). Each held power gets one Newton-Schulz step, so
+    rounding in K and in the squarings does not build up into a drift of
+    the echo over long trains. The ladder grows only as far as the
+    largest jump asks, so a series whose rows reach M cycles holds at most
+    M.bit_length() matrices.
     """
-
-    def __init__(self, data: _BranchData, dt: float):
-        n = data.spec.N
-        x = _rotate(np.eye(2 * n).reshape(2, n, 2 * n), data.e_down, dt,
-                    np.empty((2, n, 2 * n)))
-        y = _rotate(np.matmul(data.k, x), data.e_up, dt, np.empty_like(x))
-        np.matmul(data.k_t, y, out=x)
-        self.powers = [_orthogonalized(x.reshape(2 * n, 2 * n))]
-
-    def advance(self, rows: np.ndarray, cycles: int) -> np.ndarray:
-        """(G^T)^cycles rows, one product per set bit of cycles."""
-        j = 0
-        while cycles:
-            if j == len(self.powers):
-                self.powers.append(_orthogonalized(self.powers[-1] @ self.powers[-1]))
-            if cycles & 1:
-                rows = (self.powers[j] @ rows.view(np.float64)).view(np.complex128)
-            cycles >>= 1
-            j += 1
-        return rows
-
-
-def _carried_rows(data: _BranchData) -> np.ndarray:
-    """P^T at M = 0, the occupied up modes in the down basis, times sqrt(2):
-    [Phi_down^T Phi_up; -i Psi_down^T Psi_up], 2N x N complex."""
-    return np.concatenate([data.k_t[0], -1j * data.k_t[1]])
-
-
-class _Residual:
-    """The residual determinant of one pulsed series (see __call__), with
-    its two real (2, N, 2N) work arrays held between points: allocating
-    them afresh made a point at N = 100 about 40% slower (2 vCPUs,
-    OpenBLAS)."""
 
     def __init__(self, data: _BranchData, dt: float):
         self.data, self.dt = data, dt
         n = data.spec.N
         self.a, self.b = np.empty((2, n, 2 * n)), np.empty((2, n, 2 * n))
+        x = _rotate(np.eye(2 * n).reshape(2, n, 2 * n), data.e_down, dt, self.a)
+        y = _rotate(np.matmul(data.k, x), data.e_up, dt, self.b)
+        np.matmul(data.k_t, y, out=x)
+        self.powers = [_orthogonalized(x.reshape(2 * n, 2 * n))]
+        # P^T at m = 0, the occupied up modes in the down basis, times
+        # sqrt(2): [Phi_down^T Phi_up; -i Psi_down^T Psi_up], 2N x N complex
+        self.rows = np.concatenate([data.k_t[0], -1j * data.k_t[1]])
+        self.m = 0
 
-    def __call__(self, rows: np.ndarray, t_res: float, branch: int) -> float:
-        """log|det| of F^M mid B^M at t = 2 M dt + t_res, with rows = P^T.
+    def advance(self, m: int) -> None:
+        """Carry the rows forward to m >= self.m cycles, one product per
+        set bit of the jump."""
+        cycles, j = m - self.m, 0
+        while cycles:
+            if j == len(self.powers):
+                self.powers.append(_orthogonalized(self.powers[-1] @ self.powers[-1]))
+            if cycles & 1:
+                self.rows = (self.powers[j] @ self.rows.view(np.float64)).view(np.complex128)
+            cycles >>= 1
+            j += 1
+        self.m = m
+
+    def log_det(self, t_res: float, branch: int) -> float:
+        """log|det| of F^M mid B^M at t = 2 M dt + t_res, M = self.m.
 
         It is det(P^* R_down(-y) K^T R_up(-alpha) K R_down(x) P^T) / 2^N, with
         (x, alpha, y) = (t_res, t_res - dt, 0) in branch 1, before the
         mid-cycle pulse, and (dt, dt - t_res, t_res - dt) in branch 2,
-        after it; /2^N undoes the sqrt(2) of _carried_rows.
+        after it; /2^N undoes the sqrt(2) of the rows.
         """
-        data, dt, a, b = self.data, self.dt, self.a, self.b
+        data, dt, a, b, rows = self.data, self.dt, self.a, self.b, self.rows
         x, alpha, y = ((t_res, t_res - dt, 0.0) if branch == 1
                        else (dt, dt - t_res, t_res - dt))
         _rotate(rows.view(np.float64).reshape(a.shape), data.e_down, x, a)
@@ -280,17 +279,13 @@ def _pulsed_log_dets(data: _BranchData, dt: float, ts: np.ndarray) -> list[float
     """log|det| of the pulsed string at ascending times; rows jump by whole cycles."""
     if np.any(np.diff(ts) < 0):
         raise SpecError("pulsed series needs ascending times")
-    powers = _CyclePowers(data, dt)
-    residual = _Residual(data, dt)
-    rows = _carried_rows(data)
-    m_cur = 0
+    cycles = PulseSchedule(dt).cycles(ts)
+    train = _PulseTrain(data, dt)
     log_dets = []
-    for t in ts:
-        m = int(math.floor(t / (2.0 * dt) + 1e-12))
-        rows = powers.advance(rows, m - m_cur)
-        m_cur = m
+    for t, m in zip(ts, cycles):
+        train.advance(int(m))
         t_res = t - 2.0 * m * dt
-        log_dets.append(residual(rows, t_res, 1 if t_res < dt else 2))
+        log_dets.append(train.log_det(t_res, 1 if t_res < dt else 2))
     return log_dets
 
 
@@ -359,11 +354,11 @@ def loschmidt_effective(spec: ChainSpec, schedule: PulseSchedule,
     """
     if grid.mode != "cycles":
         raise SpecError("loschmidt_effective needs a cycle-aligned grid")
-    _require_even_n(spec)
+    psi, _, phi_t = _modes(spec, "up", BOUNDARY_SIGN)
     gen = effective_bdg(spec, schedule)
     evals, vecs = np.linalg.eigh(gen.C)
-    up = freefermion.diagonalize(freefermion.build_bdg(spec, "up"))
-    left = freefermion.occupied_modes(up).T @ vecs
+    # W^T for the filled sea W = [u; v], u = (Phi - Psi) / 2, v = (Phi + Psi) / 2
+    left = 0.5 * np.concatenate([phi_t - psi.T, phi_t + psi.T], axis=1) @ vecs
     right = left.conj().T
     ts = grid.times(schedule)
     log_dets = [_log_det((left * np.exp(1j * evals * t)) @ right) for t in ts]

@@ -28,8 +28,8 @@ Overlaps of evolved Gaussian states reduce to determinants,
     |<G| e^{-iH_1 t} ... e^{-iH_n t} |G>|^2 = |det(1 - r + r S)| = |det(W^T S W)|,
 
 with S = U_1 ... U_n, U_k = e^{-i C_k t}, and r = W W^T the ground-state
-two-point matrix of the unperturbed branch, W its N occupied modes
-(``occupied_modes``). Because r projects onto those modes, the 2N x 2N
+two-point matrix of the unperturbed branch (``ground_correlation``), W
+its N occupied modes, the N lowest eigenvectors of C. Because r projects onto those modes, the 2N x 2N
 determinant equals the N x N determinant over the occupied subspace.
 Over the doubled space the determinant magnitude is the squared overlap
 itself (calibrated against exact diagonalization, see the conventions
@@ -40,7 +40,8 @@ logarithm.
 ``propagator`` and ``gaussian_overlap`` evaluate the 2N x 2N form
 directly and serve as the reference; the echo module evaluates the
 N x N form in the real Majorana bases of the two branches, which take
-one N x N SVD of A + B each.
+one N x N SVD of A + B each; the SVD of the up branch also gives the
+filled sea of the effective echo.
 """
 
 from __future__ import annotations
@@ -142,8 +143,9 @@ def ground_energy(d: SpectralDecomp) -> float:
     return 0.5 * float(np.sum(d.eigenvalues[:n]))
 
 
-def occupied_modes(d: SpectralDecomp) -> np.ndarray:
-    """The filled sea: the N lowest eigenvectors, as 2N x N columns W.
+def ground_correlation(d: SpectralDecomp) -> CorrelationMatrix:
+    """Two-point matrix of the ground state r = W W^T over the filled sea,
+    the N lowest eigenvectors W.
 
     Raises DegenerateFillingError when the spectrum is degenerate across
     the filling boundary; silently picking a sea would change the echo
@@ -156,12 +158,7 @@ def occupied_modes(d: SpectralDecomp) -> np.ndarray:
             f"filling boundary degenerate: e[{n}]={e[n - 1]!r}, "
             f"e[{n + 1}]={e[n]!r} (1-based)"
         )
-    return d.eigenvectors[:, :n]
-
-
-def ground_correlation(d: SpectralDecomp) -> CorrelationMatrix:
-    """Two-point matrix of the ground state r = W W^T over the occupied modes."""
-    w_occ = occupied_modes(d)
+    w_occ = d.eigenvectors[:, :n]
     r = w_occ @ w_occ.T
     r = 0.5 * (r + r.T)
     return CorrelationMatrix(r=r)

@@ -137,6 +137,19 @@ class QubitSpec:
             raise SpecError(f"|c_up|^2 + |c_down|^2 = {norm!r}, must be 1")
 
 
+def _whole_cycles(ts, delta_t: float, slack: float) -> np.ndarray:
+    """floor(t / (2 delta_t) + slack) at each time; SpecError where it is
+    not finite."""
+    ts = np.asarray(ts, dtype=float)
+    with np.errstate(over="ignore"):
+        m = np.floor(ts / (2.0 * delta_t) + slack)
+    bad = ts[~np.isfinite(m)]
+    if bad.size:
+        raise SpecError(f"delta_t = {delta_t!r} is too small: the cycle count "
+                        f"t / (2 delta_t) at t = {float(bad[0])!r} overflows")
+    return m
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
     """Ideal-kick pulse train: instantaneous qubit flips every delta_t.
@@ -152,6 +165,16 @@ class PulseSchedule:
         if not math.isfinite(dt) or dt <= 0:
             raise SpecError(f"delta_t must be positive, got {dt!r}")
         object.__setattr__(self, "delta_t", dt)
+
+    def cycles(self, ts) -> np.ndarray:
+        """Whole flip cycles 2 delta_t completed by each time in ts, as floats
+        of the same shape: floor(t / (2 delta_t) + 1e-12), whose slack keeps
+        a time that ends a cycle from rounding down into it.
+
+        Raises SpecError where a count is not finite, as t / (2 delta_t)
+        overflows for a subnormal delta_t.
+        """
+        return _whole_cycles(ts, self.delta_t, 1e-12)
 
 
 @dataclass(frozen=True)
@@ -190,6 +213,5 @@ class TimeGrid:
             return np.linspace(0.0, self.t_max, self.n_points)
         if schedule is None:
             raise SpecError("cycle-aligned grid needs a pulse schedule")
-        cycle = 2.0 * schedule.delta_t
-        m_max = int(math.floor(self.t_max / cycle + 1e-9))
-        return cycle * np.arange(m_max + 1)
+        m_max = int(_whole_cycles(self.t_max, schedule.delta_t, 1e-9))
+        return 2.0 * schedule.delta_t * np.arange(m_max + 1)

@@ -195,8 +195,7 @@ def amplitude_pulsed(spec: ChainSpec, schedule: PulseSchedule, ts) -> np.ndarray
     out = np.empty(ts.size, dtype=complex)
     phi0 = phi1 = sp.g
     m_cur = 0
-    for i, t in enumerate(ts):
-        m = int(math.floor(t / (2.0 * dt) + 1e-12))
+    for i, (t, m) in enumerate(zip(ts, schedule.cycles(ts))):
         while m_cur < m:
             phi0 = sp.evolve("down", dt, sp.evolve("up", dt, phi0))
             phi1 = sp.evolve("up", dt, sp.evolve("down", dt, phi1))

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainSpec, SpecError
+from .model import ChainSpec, PulseSchedule, SpecError
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,8 @@ def log_echo(spec: ChainSpec, ts, delta_t: float | None = None) -> np.ndarray:
         x = _mul(_dagger(_evolve(hz_up, hy, t)), _evolve(hz_down, hy, t))
     else:
         dt = float(delta_t)
+        m = PulseSchedule(dt).cycles(t)
         up, down = _evolve(hz_up, hy, dt), _evolve(hz_down, hy, dt)
-        m = np.floor(t / (2.0 * dt) + 1e-12)
         s = t - 2.0 * m * dt - dt
         # after M cycles, with s = t_res - dt: for t_res < dt the branches
         # finish as U_up(t_res) = U_up(s) U_up(dt) and U_down(s) U_down(dt),

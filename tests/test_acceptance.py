@@ -243,9 +243,9 @@ def test_10_invariant_fuzzer():
                 assert np.all(series.le <= 1.0 + 1e-9)
 
             data = echo._BranchData(spec)
-            rows, residual = echo._carried_rows(data), echo._Residual(data, dt)
-            le1 = np.exp(residual(rows, dt, 1))
-            le2 = np.exp(residual(rows, dt, 2))
+            train = echo._PulseTrain(data, dt)
+            le1 = np.exp(train.log_det(dt, 1))
+            le2 = np.exp(train.log_det(dt, 2))
             assert abs(le1 - le2) <= 1e-9
 
         from dataclasses import replace

@@ -453,6 +453,20 @@ class TestRunCommand:
         assert [row[0] for row in rows] == ["0.0", "0.5", "1.0"]
         assert all(0.0 <= float(row[1]) <= 1.0 + 1e-12 for row in rows)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("links", ["1", "all"], ids=["determinant", "momentum"])
+    def test_overflowing_cycle_count_is_config_error(self, state_dir, tmp_path, capsys,
+                                                     links):
+        # t / (2 dt) overflows for a subnormal dt; both routes share one count
+        out = tmp_path / "x.csv"
+        assert main(["run", "--mode", "pulsed", "--N", "8", "--lambda", "1",
+                     "--epsilon", "0.25", "--links", links, "--tmax", "1",
+                     "--points", "3", "--dt", "1e-320", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("config error: delta_t = 1e-320 is too small: the cycle count "
+                       "t / (2 delta_t) at t = 0.5 overflows\n")
+        assert not out.exists() and not (tmp_path / "x.meta.json").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
     @pytest.mark.parametrize("links", ["1", "all"], ids=["determinant", "momentum"])
     def test_nan_echo_is_numerical_error(self, state_dir, tmp_path, capsys, links):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bbecho import echo, freefermion, oracle, spinstar
+from bbecho import echo, oracle, spinstar
 from bbecho.echo import (EchoPoint, EchoSeries, coherence_offdiagonal,
                          effective_bdg, loschmidt_effective, loschmidt_free,
                          loschmidt_pulsed, sweep, time_average)
@@ -91,9 +91,9 @@ class TestLoschmidtPulsed:
     def test_branch_formulas_agree_at_boundary(self):
         data = echo._BranchData(_spec(N=6))
         dt = 0.4
-        rows, residual = echo._carried_rows(data), echo._Residual(data, dt)
-        le1 = np.exp(residual(rows, dt, 1))
-        le2 = np.exp(residual(rows, dt, 2))
+        train = echo._PulseTrain(data, dt)
+        le1 = np.exp(train.log_det(dt, 1))
+        le2 = np.exp(train.log_det(dt, 2))
         assert abs(le1 - le2) <= 1e-9
 
     def test_continuous_across_cycle_boundary(self):
@@ -147,10 +147,12 @@ def _pulsed_string(up, down, dt, t):
 
 
 class TestOccupiedSubspaceKernel:
-    """The N x N kernel against the 2N x 2N reference strings at N = 100."""
+    """The N x N kernel against the 2N x 2N reference strings at N = 100, in
+    both phases and at the critical point."""
 
-    def test_matches_reference_strings(self):
-        spec = ChainSpec(N=100, lam=1.0, epsilon=0.25, links=(1,))
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+    def test_matches_reference_strings(self, lam):
+        spec = ChainSpec(N=100, lam=lam, epsilon=0.25, links=(1,))
         grid = TimeGrid(t_max=50.0, n_points=51)
         up = diagonalize(build_bdg(spec, "up"))
         down = diagonalize(build_bdg(spec, "down"))
@@ -237,12 +239,12 @@ class TestCycleJumps:
         ts = 2.0 * dt * cycles + offsets
         held = []
 
-        class Recording(echo._CyclePowers):
+        class Recording(echo._PulseTrain):
             def __init__(self, *args):
                 super().__init__(*args)
                 held.append(self)
 
-        monkeypatch.setattr(echo, "_CyclePowers", Recording)
+        monkeypatch.setattr(echo, "_PulseTrain", Recording)
         series = echo._series(ts, echo._pulsed_log_dets(echo._BranchData(spec), dt, ts),
                               "pulsed")
         assert len(held) == 1
@@ -440,16 +442,16 @@ class TestLoschmidtEffective:
 
     def test_builds_only_the_up_decomposition(self, monkeypatch):
         calls = []
-        real = freefermion.diagonalize
+        real = echo._modes
 
-        def counting(m):
-            calls.append(m)
-            return real(m)
+        def counting(spec, branch, boundary_sign):
+            calls.append(branch)
+            return real(spec, branch, boundary_sign)
 
-        monkeypatch.setattr(freefermion, "diagonalize", counting)
+        monkeypatch.setattr(echo, "_modes", counting)
         loschmidt_effective(_spec(N=6), PulseSchedule(delta_t=0.3),
                             TimeGrid(t_max=3.0, mode="cycles"))
-        assert len(calls) == 1
+        assert calls == ["up"]
 
     def test_odd_n_refused_before_any_build(self, monkeypatch):
         def refuse(*args):

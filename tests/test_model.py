@@ -99,6 +99,16 @@ class TestPulseSchedule:
         with pytest.raises(SpecError):
             PulseSchedule(delta_t=dt)
 
+    def test_cycles_count_whole_cycles(self):
+        # t = 0.6 ends a cycle only up to rounding: 0.6 / 0.2 = 2.9999999999999996
+        m = PulseSchedule(delta_t=0.1).cycles([[0.0, 0.19], [0.6, 0.61]])
+        np.testing.assert_array_equal(m, [[0.0, 0.0], [3.0, 3.0]])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_cycle_count_refused(self):
+        with pytest.raises(SpecError, match=r"delta_t = 1e-320 .* at t = 0\.5 overflows"):
+            PulseSchedule(delta_t=1e-320).cycles([0.0, 0.5, 1.0])
+
 
 class TestTimeGrid:
     def test_uniform_starts_at_zero_strictly_increasing(self):
@@ -111,6 +121,11 @@ class TestTimeGrid:
         grid = TimeGrid(t_max=2.0, mode="cycles")
         ts = grid.times(PulseSchedule(delta_t=0.25))
         np.testing.assert_allclose(ts, [0.0, 0.5, 1.0, 1.5, 2.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_cycle_grid_refused(self):
+        with pytest.raises(SpecError, match=r"delta_t = 1e-320 .* at t = 1\.0 overflows"):
+            TimeGrid(t_max=1.0, mode="cycles").times(PulseSchedule(delta_t=1e-320))
 
     def test_cycle_mode_needs_schedule(self):
         with pytest.raises(SpecError, match="schedule"):

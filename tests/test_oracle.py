@@ -184,6 +184,12 @@ class TestAmplitudePulsed:
         with pytest.raises(SpecError, match="ascending"):
             amplitude_pulsed(spec, PulseSchedule(delta_t=0.3), [1.0, 0.5])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_cycle_count_refused(self):
+        spec = ChainSpec(N=4, lam=0.5, epsilon=0.25, links=(1,))
+        with pytest.raises(SpecError, match=r"delta_t = 1e-320 .* at t = 1\.0 overflows"):
+            amplitude_pulsed(spec, PulseSchedule(delta_t=1e-320), [0.0, 1.0])
+
     def test_zero_coupling_magnitude_one(self):
         spec = ChainSpec(N=4, lam=1.2, epsilon=0.0, links=(1,))
         amps = amplitude_pulsed(spec, PulseSchedule(delta_t=0.3), np.linspace(0, 5, 11))
