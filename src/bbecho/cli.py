@@ -1,9 +1,11 @@
 """Command-line front end: run, preset, check, calibrate.
 
 Every run writes one data file (CSV by default) plus a JSON sidecar with
-the resolved configuration, the calibrated conventions, and the library
-version. Identical configurations produce byte-identical CSV: floats are
-printed as shortest round-trip decimals and row order is fixed.
+the resolved configuration, the frozen conventions, and the library
+version, and no other file. Identical configurations produce
+byte-identical CSV: floats are printed as shortest round-trip decimals
+and row order is fixed. ``calibrate`` re-derives the conventions and
+prints them; it writes nothing, and no other verb calibrates.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical or
 calibration failure.
@@ -56,16 +58,13 @@ def _write_table(path: Path, fmt: str, columns: list[str], rows: list[list]) -> 
         path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 
-def _write_sidecar(out: Path, config: RunConfig, conv: conventions.Conventions,
-                   extra: dict | None = None) -> None:
+def _write_sidecar(out: Path, config: RunConfig, extra: dict | None = None) -> None:
     sidecar = out.with_suffix(".meta.json")
     payload = {
         "version": __version__,
         "conventions": {
             "boundary_sign": conventions.BOUNDARY_SIGN,
             "det_exponent": conventions.DET_EXPONENT,
-            "max_residual": conv.max_residual,
-            "source": conv.source,
         },
         "config": config_as_dict(config),
     }
@@ -147,7 +146,6 @@ def _execute(config: RunConfig) -> int:
                           f"no directory {str(out.parent)!r}")
     if out.is_dir():
         raise ConfigError(f"[run] out = {config.out!r}: is a directory")
-    conv = conventions.ensure(__version__)
     extra: dict = {}
     if config.mode in ("free", "pulsed", "sweep"):
         extra["route"] = echo.route(config.spec)
@@ -158,7 +156,7 @@ def _execute(config: RunConfig) -> int:
         worst = _worst(rows)
         extra["oracle_check"] = {"max_abs_diff": _json_safe(worst), "tol": oracle.TOL}
     _write_table(out, config.fmt, columns, rows)
-    _write_sidecar(out, config, conv, extra)
+    _write_sidecar(out, config, extra)
     if checked:
         print(f"oracle check: max |LE - LE_oracle| = {worst:.3e} "
               f"(tol {oracle.TOL:g}) over {len(rows)} combinations")
@@ -198,11 +196,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    conv = conventions.ensure(__version__, recalibrate=args.recalibrate)
+    conv = conventions.ensure(__version__)
     print(f"boundary_sign = {conventions.BOUNDARY_SIGN:+d}")
     print(f"det_exponent  = {conventions.DET_EXPONENT}")
     print(f"max residual vs oracle = {conv.max_residual:.3e}")
-    print(f"source = {conv.source}")
     return 0
 
 
@@ -238,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(chk, ("--out",))
     chk.set_defaults(func=_cmd_check)
 
-    cal = sub.add_parser("calibrate", help="derive and cache the numerical conventions")
-    cal.add_argument("--recalibrate", action="store_true")
+    cal = sub.add_parser("calibrate", help="re-derive and print the numerical conventions")
     cal.set_defaults(func=_cmd_calibrate)
     return parser
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bbecho import __version__, conventions, echo
+from bbecho import echo
 from bbecho.cli import main
 from bbecho.config import (ConfigError, build_run_config, preset,
                            read_config_file)
@@ -141,12 +141,11 @@ class TestPresets:
         with pytest.raises(ConfigError, match="unknown preset"):
             preset("fig9")
 
-    def test_unknown_preset_exit_code(self, state_dir, tmp_path, capsys):
+    def test_unknown_preset_exit_code(self, tmp_path, capsys):
         assert main(["preset", "fig9", "--out", str(tmp_path / "x.csv")]) == 1
         assert "unknown preset" in capsys.readouterr().err
 
-    def test_preset_command_runs_and_honors_overrides(self, state_dir, tmp_path,
-                                                      monkeypatch):
+    def test_preset_command_runs_and_honors_overrides(self, tmp_path, monkeypatch):
         # wire check on a downscaled preset; the real ones run for minutes
         from bbecho import config as config_mod
 
@@ -163,7 +162,7 @@ class TestPresets:
 
 
 class TestRunCommand:
-    def test_decoupled_free_run_emits_unit_column(self, state_dir, tmp_path):
+    def test_decoupled_free_run_emits_unit_column(self, tmp_path):
         out = tmp_path / "free.csv"
         path = _write_config(tmp_path, FREE_INI.format(out=out))
         assert main(["run", "--config", str(path)]) == 0
@@ -174,7 +173,7 @@ class TestRunCommand:
             assert float(row[1]) == pytest.approx(1.0, abs=1e-9)
             assert row[3] == "free"
 
-    def test_byte_identical_reruns(self, state_dir, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "free.csv"
         path = _write_config(tmp_path, FREE_INI.format(out=out))
         assert main(["run", "--config", str(path)]) == 0
@@ -182,7 +181,7 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 0
         assert out.read_bytes() == first
 
-    def test_flags_override_file(self, state_dir, tmp_path):
+    def test_flags_override_file(self, tmp_path):
         out = tmp_path / "pulsed.csv"
         path = _write_config(tmp_path, FREE_INI.format(out=out))
         code = main(["run", "--config", str(path), "--mode", "pulsed",
@@ -192,17 +191,37 @@ class TestRunCommand:
         assert rows[0][3] == "pulsed"
         assert float(rows[-1][1]) < 1.0
 
-    def test_sidecar_records_conventions_and_config(self, state_dir, tmp_path):
+    @pytest.mark.parametrize("setup", ["env-under-a-file", "home-is-a-file"])
+    def test_runs_need_no_writable_state_directory(self, tmp_path, monkeypatch, setup):
+        # run and preset write their --out and nothing else, so a cache
+        # location that cannot be created does not fail them
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        if setup == "env-under-a-file":
+            monkeypatch.setenv("BBECHO_STATE_DIR", str(blocker / "state"))
+        else:
+            monkeypatch.delenv("BBECHO_STATE_DIR", raising=False)
+            monkeypatch.setenv("HOME", str(blocker))
+            monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        free, fig4 = tmp_path / "free.csv", tmp_path / "fig4.csv"
+        assert main(["run", "--mode", "free", *SPEC_FLAGS, *GRID_FLAGS,
+                     "--out", str(free)]) == 0
+        assert main(["preset", "fig4", "--out", str(fig4)]) == 0
+        assert len(_read_csv(free)[1]) == 11
+        assert _read_csv(fig4)[0][0] == "lambda"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fig4.csv", "fig4.meta.json", "file", "free.csv", "free.meta.json"]
+
+    def test_sidecar_records_conventions_and_config(self, tmp_path):
         out = tmp_path / "free.csv"
         path = _write_config(tmp_path, FREE_INI.format(out=out))
         assert main(["run", "--config", str(path)]) == 0
         sidecar = json.loads((tmp_path / "free.meta.json").read_text())
-        assert sidecar["conventions"]["boundary_sign"] == -1
-        assert sidecar["conventions"]["det_exponent"] == 1
+        assert sidecar["conventions"] == {"boundary_sign": -1, "det_exponent": 1}
         assert sidecar["config"]["spec"]["N"] == 8
         assert sidecar["version"]
 
-    def test_sweep_run(self, state_dir, tmp_path):
+    def test_sweep_run(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["run", "--mode", "sweep", "--N", "6", "--lambda", "1.0",
                      "--epsilon", "0.25", "--links", "1", "--dt", "0.4",
@@ -215,14 +234,14 @@ class TestRunCommand:
         assert 0.0 <= le_pulsed <= 1.0 + 1e-9
         assert ratio == pytest.approx(le_pulsed / le_free, rel=1e-12)
 
-    def test_effective_requires_cycle_grid(self, state_dir, tmp_path):
+    def test_effective_requires_cycle_grid(self, tmp_path):
         # uniform grid on an effective run is a config-level misuse
         out = tmp_path / "eff.csv"
         ini = FREE_INI.format(out=out) + "\n[schedule]\ndelta_t = 0.25\n"
         path = _write_config(tmp_path, ini)
         assert main(["run", "--config", str(path), "--mode", "effective"]) == 1
 
-    def test_effective_on_cycle_grid(self, state_dir, tmp_path):
+    def test_effective_on_cycle_grid(self, tmp_path):
         out = tmp_path / "eff.csv"
         ini = (FREE_INI.format(out=out).replace("points = 11", "mode = cycles")
                + "\n[schedule]\ndelta_t = 0.25\n")
@@ -234,7 +253,7 @@ class TestRunCommand:
         np.testing.assert_allclose(
             [float(r[0]) for r in rows], 0.5 * np.arange(len(rows)), atol=1e-12)
 
-    def test_spinstar_analytic_mode(self, state_dir, tmp_path):
+    def test_spinstar_analytic_mode(self, tmp_path):
         out = tmp_path / "cf.csv"
         code = main(["run", "--mode", "spinstar-analytic", "--N", "8",
                      "--epsilon", "0.01", "--links", "all",
@@ -249,7 +268,7 @@ class TestRunCommand:
         assert "lambda" not in sidecar["config"]["spec"]
         assert sidecar["config"]["spec"]["N"] == 8
 
-    def test_spinstar_analytic_refuses_lambda(self, state_dir, tmp_path, capsys):
+    def test_spinstar_analytic_refuses_lambda(self, tmp_path, capsys):
         code = main(["run", "--mode", "spinstar-analytic", "--N", "8",
                      "--lambda", "0.5", "--epsilon", "0.01", "--links", "all",
                      "--dt", "0.1", "--tmax", "2.0", "--points", "5",
@@ -259,14 +278,14 @@ class TestRunCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "x.csv").exists()
 
-    def test_spinstar_analytic_needs_all_links(self, state_dir, tmp_path, capsys):
+    def test_spinstar_analytic_needs_all_links(self, tmp_path, capsys):
         code = main(["run", "--mode", "spinstar-analytic", "--N", "8",
                      "--epsilon", "0.01", "--links", "1",
                      "--dt", "0.1", "--tmax", "2.0", "--points", "5",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
-    def test_family_emission_with_axes(self, state_dir, tmp_path):
+    def test_family_emission_with_axes(self, tmp_path):
         # curve family: per lambda one uncontrolled series plus one series
         # per pulse interval, with leading lambda/delta_t columns
         out = tmp_path / "family.csv"
@@ -283,7 +302,7 @@ class TestRunCommand:
         assert all(r[1] == "" for r in free_rows)
         assert {r[0] for r in rows} == {"0.5", "1.0"}
 
-    def test_family_falls_back_to_schedule_interval(self, state_dir, tmp_path):
+    def test_family_falls_back_to_schedule_interval(self, tmp_path):
         out = tmp_path / "family.csv"
         ini = FREE_INI.format(out=out) + "\n[axes]\nlambdas = 0.5, 1.0\n"
         assert main(["run", "--config", str(_write_config(tmp_path, ini)),
@@ -294,7 +313,7 @@ class TestRunCommand:
         assert {r[1] for r in rows if r[5] == "pulsed"} == {"0.5"}
         assert {r[1] for r in rows if r[5] == "free"} == {""}
 
-    def test_family_rows_equal_series(self, state_dir, tmp_path):
+    def test_family_rows_equal_series(self, tmp_path):
         out = tmp_path / "family.csv"
         ini = (FREE_INI.format(out=out).replace("epsilon = 0.0", "epsilon = 0.25")
                + "\n[axes]\nlambdas = 0.5, 1.5\ndelta_ts = 0.3, 0.7\n")
@@ -315,7 +334,7 @@ class TestRunCommand:
             assert [float(r[3]) for r in block] == series.le.tolist()
             assert [float(r[4]) for r in block] == series.log_le.tolist()
 
-    def test_json_format(self, state_dir, tmp_path):
+    def test_json_format(self, tmp_path):
         out = tmp_path / "free.json"
         path = _write_config(tmp_path, FREE_INI.format(out=out))
         assert main(["run", "--config", str(path), "--format", "json"]) == 0
@@ -323,7 +342,7 @@ class TestRunCommand:
         assert payload["columns"] == ["t", "le", "log_le", "kind"]
         assert len(payload["rows"]) == 11
 
-    def test_missing_spec_is_config_error(self, state_dir, capsys):
+    def test_missing_spec_is_config_error(self, capsys):
         assert main(["run", "--mode", "free"]) == 1
         assert "config error" in capsys.readouterr().err
         assert main(["run", "--mode", "free", "--lambda", "1.0", "--epsilon", "0.25",
@@ -335,8 +354,7 @@ class TestRunCommand:
         ("points = 11", "points = eleven", "[grid] points = 'eleven': "),
         ("epsilon = 0.0", "epsilon = 0.o", "[spec] epsilon = '0.o': "),
     ], ids=["N", "points", "epsilon"])
-    def test_malformed_number_is_config_error(self, state_dir, tmp_path, capsys,
-                                              key, bad, named):
+    def test_malformed_number_is_config_error(self, tmp_path, capsys, key, bad, named):
         ini = FREE_INI.format(out=tmp_path / "x.csv").replace(key, bad)
         assert main(["run", "--config", str(_write_config(tmp_path, ini))]) == 1
         err = capsys.readouterr().err
@@ -350,8 +368,7 @@ class TestRunCommand:
          "config error: unknown format 'xml'"),
         (["run", "--mode", "nosuch"], "config error: unknown mode 'nosuch'"),
     ], ids=["run-N", "run-points", "run-format", "run-mode"])
-    def test_malformed_flag_is_config_error(self, state_dir, tmp_path, capsys,
-                                            argv, message):
+    def test_malformed_flag_is_config_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.csv"
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -363,14 +380,15 @@ class TestRunCommand:
         ["run", "--threads", "2"],
         ["run", "--recalibrate"],
         ["check", "--recalibrate"],
+        ["calibrate", "--recalibrate"],
         ["run", "--foo", "1"],
         [],
     ], ids=["preset-threads", "run-threads", "run-recalibrate", "check-recalibrate",
-            "run-foo", "no-verb"])
-    def test_usage_error_exits_1(self, state_dir, tmp_path, capsys, argv):
+            "calibrate-recalibrate", "run-foo", "no-verb"])
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
         # exit 2 is kept for numerical failures
         out = tmp_path / "x.csv"
-        argv = argv + ["--out", str(out)] if argv else argv
+        argv = argv + ["--out", str(out)] if argv[:1] not in ([], ["calibrate"]) else argv
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
@@ -385,7 +403,7 @@ class TestRunCommand:
         assert exc.value.code == 0
         assert capsys.readouterr().out
 
-    def test_missing_out_directory_refused_before_computing(self, state_dir, tmp_path,
+    def test_missing_out_directory_refused_before_computing(self, tmp_path,
                                                             capsys, monkeypatch):
         def never(*args):
             raise AssertionError("the echo ran before the output path was checked")
@@ -399,7 +417,7 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "nodir").exists()
 
-    def test_out_directory_refused_before_computing(self, state_dir, tmp_path,
+    def test_out_directory_refused_before_computing(self, tmp_path,
                                                     capsys, monkeypatch):
         def never(*args):
             raise AssertionError("the echo ran before the output path was checked")
@@ -419,13 +437,13 @@ class TestRunCommand:
         ("pulsed", GRID_FLAGS + ["--dt", "0.3"]),
         ("sweep", WINDOW_FLAGS),
     ], ids=["free", "pulsed", "sweep"])
-    def test_sidecar_records_route(self, state_dir, tmp_path, mode, extra, links, route):
+    def test_sidecar_records_route(self, tmp_path, mode, extra, links, route):
         out = tmp_path / "x.csv"
         argv = ["run", "--mode", mode, *SPEC_FLAGS, *extra, "--out", str(out)]
         assert main([*argv, "--links", links]) == 0
         assert json.loads((tmp_path / "x.meta.json").read_text())["route"] == route
 
-    def test_decayed_echo_keeps_a_finite_log(self, state_dir, tmp_path):
+    def test_decayed_echo_keeps_a_finite_log(self, tmp_path):
         # le underflows to 0.0 while log_le stays finite, on the momentum
         # route and in the cosine product, 2 sum_k log|cos| (Jt = 10)
         out = tmp_path / "x.csv"
@@ -442,7 +460,7 @@ class TestRunCommand:
             assert float(rows[-1][2]) == pytest.approx(log_le, abs=0.05)
 
     @pytest.mark.parametrize("dt", ["1e-12", "1e-6"])
-    def test_fast_pulsing_keeps_the_echo_at_most_one(self, state_dir, tmp_path, dt):
+    def test_fast_pulsing_keeps_the_echo_at_most_one(self, tmp_path, dt):
         # 5e11 cycles by t = 1 at dt = 1e-12; the determinant route held
         # the echo only as long as its cycle stayed orthogonal
         out = tmp_path / "x.csv"
@@ -455,8 +473,7 @@ class TestRunCommand:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("links", ["1", "all"], ids=["determinant", "momentum"])
-    def test_overflowing_cycle_count_is_config_error(self, state_dir, tmp_path, capsys,
-                                                     links):
+    def test_overflowing_cycle_count_is_config_error(self, tmp_path, capsys, links):
         # t / (2 dt) overflows for a subnormal dt; both routes share one count
         out = tmp_path / "x.csv"
         assert main(["run", "--mode", "pulsed", "--N", "8", "--lambda", "1",
@@ -469,7 +486,7 @@ class TestRunCommand:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
     @pytest.mark.parametrize("links", ["1", "all"], ids=["determinant", "momentum"])
-    def test_nan_echo_is_numerical_error(self, state_dir, tmp_path, capsys, links):
+    def test_nan_echo_is_numerical_error(self, tmp_path, capsys, links):
         # the phases overflow at t = 5e307; a NaN log must not print le = 0.0
         out = tmp_path / "x.csv"
         assert main(["run", "--mode", "free", "--N", "8", "--lambda", "1",
@@ -479,7 +496,7 @@ class TestRunCommand:
         assert err == "numerical error: echo at t = 5e+307 has log L = nan\n"
         assert not out.exists() and not (tmp_path / "x.meta.json").exists()
 
-    def test_odd_n_is_config_error(self, state_dir, tmp_path, capsys):
+    def test_odd_n_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         ini = FREE_INI.format(out=out).replace("N = 8", "N = 7")
         assert main(["run", "--config", str(_write_config(tmp_path, ini))]) == 1
@@ -488,8 +505,7 @@ class TestRunCommand:
         assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("window_points", ["-5", "0", "1"])
-    def test_bad_window_points_is_config_error(self, state_dir, tmp_path, capsys,
-                                               window_points):
+    def test_bad_window_points_is_config_error(self, tmp_path, capsys, window_points):
         out = tmp_path / "x.csv"
         ini = (SPEC_INI.format(out=out).replace("mode = free", "mode = sweep")
                + "\n[axes]\nlambdas = 1.0\ndelta_ts = 0.4\nt_star = 2.0\n"
@@ -519,8 +535,7 @@ class TestRunCommand:
          "[axes] is not read by mode effective"),
     ], ids=["free-dt", "sweep-tmax", "sweep-points", "free-tstar", "pulsed-halfwidth",
             "oracle-check-N", "effective-lambdas", "effective-empty-axes"])
-    def test_unread_key_is_config_error(self, state_dir, tmp_path, capsys,
-                                        ini, argv, named):
+    def test_unread_key_is_config_error(self, tmp_path, capsys, ini, argv, named):
         out = tmp_path / "x.csv"
         if ini is not None:
             argv = ["--config", str(_write_config(tmp_path, ini.format(out=out)))] + argv
@@ -530,7 +545,7 @@ class TestRunCommand:
         assert not out.exists() and not (tmp_path / "x.meta.json").exists()
 
     @pytest.mark.parametrize("key", ["lambdas", "delta_ts"])
-    def test_empty_axis_list_is_config_error(self, state_dir, tmp_path, capsys, key):
+    def test_empty_axis_list_is_config_error(self, tmp_path, capsys, key):
         out = tmp_path / "x.csv"
         ini = (SPEC_INI.format(out=out).replace("mode = free", "mode = sweep")
                + "\n[schedule]\ndelta_t = 0.4\n"
@@ -540,7 +555,7 @@ class TestRunCommand:
         assert err.startswith(f"config error: [axes] {key} = '': ")
         assert "Traceback" not in err and not out.exists()
 
-    def test_cycle_grid_with_points_is_config_error(self, state_dir, tmp_path, capsys):
+    def test_cycle_grid_with_points_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         ini = CYCLES_INI.format(out=out).replace("mode = cycles",
                                                  "mode = cycles\npoints = 7")
@@ -555,7 +570,7 @@ class TestRunCommand:
         ("free", "\n[axes]\nlambdas = 0.5, 1.5\n"),
         ("pulsed", "\n[schedule]\ndelta_t = 0.25\n\n[axes]\nlambdas = 0.5, 1.5\n"),
     ], ids=["free", "free-family", "pulsed-family"])
-    def test_cycle_grid_needs_one_interval(self, state_dir, tmp_path, capsys, mode, extra):
+    def test_cycle_grid_needs_one_interval(self, tmp_path, capsys, mode, extra):
         out = tmp_path / "x.csv"
         ini = FREE_INI.format(out=out).replace("points = 11", "mode = cycles") + extra
         assert main(["run", "--config", str(_write_config(tmp_path, ini)),
@@ -565,8 +580,7 @@ class TestRunCommand:
                        "pulse interval, not mode free or an [axes] curve family\n")
         assert not out.exists()
 
-    def test_degenerate_sector_is_numerical_error(self, state_dir, tmp_path, capsys,
-                                                  monkeypatch):
+    def test_degenerate_sector_is_numerical_error(self, tmp_path, capsys, monkeypatch):
         # a filled sea that cannot be defined is a numerical failure: exit 2
         from bbecho import echo
         from bbecho.freefermion import DegenerateFillingError
@@ -581,7 +595,7 @@ class TestRunCommand:
 
 
 class TestCheckAndCalibrate:
-    def test_check_passes_and_reports(self, state_dir, tmp_path, capsys):
+    def test_check_passes_and_reports(self, tmp_path, capsys):
         out = tmp_path / "check.csv"
         assert main(["check", "--out", str(out)]) == 0
         captured = capsys.readouterr().out
@@ -591,11 +605,9 @@ class TestCheckAndCalibrate:
         assert {r[header.index("epsilon")] for r in rows} == {"0.25"}  # the specs' coupling
         assert max(float(r[-1]) for r in rows) <= 1e-8
 
-    def test_check_fails_on_nan_residual(self, state_dir, tmp_path, capsys,
-                                         monkeypatch):
+    def test_check_fails_on_nan_residual(self, tmp_path, capsys, monkeypatch):
         from bbecho import oracle
 
-        assert main(["calibrate"]) == 0  # the calibration reads the oracle too
         monkeypatch.setattr(oracle, "amplitude_free",
                             lambda spec, ts: np.full(len(ts), np.nan + 0j))
         assert main(["check", "--out", str(tmp_path / "check.csv")]) == 2
@@ -603,36 +615,7 @@ class TestCheckAndCalibrate:
         sidecar = json.loads((tmp_path / "check.meta.json").read_text())
         assert sidecar["oracle_check"]["max_abs_diff"] is None
 
-    @pytest.mark.parametrize("payload, source", [
-        ([1, 2], "calibrated"),
-        ({"version": __version__, "max_residual": "small"}, "calibrated"),
-        ({"version": __version__, "max_residual": 1e-14}, "cache"),
-        ({"version": __version__, "boundary_sign": -1, "det_exponent": 1,
-          "max_residual": 1e-14}, "cache"),
-        ({"version": __version__, "boundary_sign": 1, "det_exponent": 2,
-          "max_residual": 1e-14}, "cache"),
-    ], ids=["list", "non-numeric-residual", "current", "old-format", "other-pair"])
-    def test_state_file_read_or_recalibrated(self, state_dir, tmp_path, capsys,
-                                             payload, source):
-        # the pair printed and recorded is the frozen one, whatever the file says
-        state_dir.mkdir()
-        (state_dir / "calibration.json").write_text(json.dumps(payload))
-        assert main(["calibrate"]) == 0
-        printed = capsys.readouterr().out
-        assert "boundary_sign = -1\ndet_exponent  = 1\n" in printed
-        assert f"source = {source}" in printed
-        if source == "cache":
-            out = tmp_path / "free.csv"
-            assert main(["run", "--config",
-                         str(_write_config(tmp_path, FREE_INI.format(out=out)))]) == 0
-            conv = json.loads((tmp_path / "free.meta.json").read_text())["conventions"]
-            assert conv == {"boundary_sign": -1, "det_exponent": 1,
-                            "max_residual": 1e-14, "source": "cache"}
-        else:
-            stored = json.loads((state_dir / "calibration.json").read_text())
-            assert set(stored) == {"version", "max_residual"}
-
-    def test_scan_off_the_frozen_pair_refused(self, state_dir, capsys, monkeypatch):
+    def test_scan_off_the_frozen_pair_refused(self, capsys, monkeypatch):
         from bbecho import oracle
 
         monkeypatch.setattr(oracle, "calibrate_conventions", lambda specs: (
@@ -641,32 +624,15 @@ class TestCheckAndCalibrate:
         assert main(["calibrate"]) == 2
         err = capsys.readouterr().err
         assert "calibration result (1, 1) disagrees with the frozen conventions (-1, 1)" in err
-        assert not (state_dir / "calibration.json").exists()
 
-    @pytest.mark.parametrize("xdg", [True, False], ids=["xdg", "home"])
-    def test_state_dir_fallbacks(self, tmp_path, monkeypatch, xdg):
-        # without BBECHO_STATE_DIR: $XDG_CACHE_HOME/bbecho, else ~/.cache/bbecho
+    def test_calibrate_prints_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("BBECHO_STATE_DIR", raising=False)
-        monkeypatch.setenv("HOME", str(tmp_path / "home"))
-        if xdg:
-            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        else:
-            monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
-        expected = tmp_path / "xdg" if xdg else tmp_path / "home" / ".cache"
-        assert conventions.state_dir() == expected / "bbecho"
-
-    def test_calibrate_caches_result(self, state_dir, capsys):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         assert main(["calibrate"]) == 0
-        first = capsys.readouterr().out
-        assert "boundary_sign = -1" in first
-        assert "det_exponent  = 1" in first
-        assert "source = calibrated" in first
-        assert (state_dir / "calibration.json").exists()
-        assert main(["calibrate"]) == 0
-        assert "source = cache" in capsys.readouterr().out
-
-    def test_recalibrate_forces_fresh_run(self, state_dir, capsys):
-        assert main(["calibrate"]) == 0
-        capsys.readouterr()
-        assert main(["calibrate", "--recalibrate"]) == 0
-        assert "source = calibrated" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert printed.startswith("boundary_sign = -1\ndet_exponent  = 1\n")
+        residual = re.search(r"^max residual vs oracle = (\d\.\d{3}e[-+]\d+)$", printed, re.M)
+        assert residual and float(residual.group(1)) <= 1e-8
+        assert list(tmp_path.iterdir()) == []
