@@ -104,12 +104,14 @@ def _worst(rows: list[list]) -> float:
 
 def oracle_check_suite() -> tuple[list[list], float]:
     """Free and pulsed echo residuals, each spec on its echo route, vs the
-    2^N oracle: single-link specs on the determinant route, spin stars on
-    the momentum route."""
+    2^N oracle. On the determinant route a single link has a site-centred
+    reflection axis, two adjacent links a bond-centred one, and (1, 2, 4)
+    a site-centred one at N = 4 and none at N = 6; spin stars take the
+    momentum route."""
     ts = np.linspace(0.0, 10.0, 21)
     rows: list[list] = []
     for n, lam in itertools.product((4, 6), (0.5, 1.0, 1.5)):
-        for links in ((1,), tuple(range(1, n + 1))):
+        for links in ((1,), (1, 2), (1, 2, 4), tuple(range(1, n + 1))):
             spec = ChainSpec(N=n, lam=lam, epsilon=0.25, links=links)
             for _, dt, series in echo.family(spec, (lam,), (0.25, 0.5), ts):
                 amp = (oracle.amplitude_free(spec, ts) if dt is None else

@@ -9,27 +9,38 @@ and the convention calibration for every spec. Both routes work in the
 calibrated antiperiodic fermion sector; the sector is not a field of the
 spec, and only the calibration passes another one, to _BranchData.
 
-On the determinant route every echo point is one N x N determinant over
-the occupied subspace, |det(W^H S W)| for the propagator string S, with
-W the N filled modes of the up branch (see the freefermion module). The
-kernel works in the Majorana basis of the Lieb-Schultz-Mattis reduction
-(Ann. Phys. 16, 407 (1961)), the real and imaginary parts of the fermion
-modes. There C = [[A, B], [-B, -A]] becomes i times the real
-antisymmetric [[0, Z^T], [-Z, 0]], Z = A + B, so a branch needs one
-N x N SVD Z = Psi diag(e) Phi^T, whose singular values e are the mode
-energies. In the basis O = Phi (+) Psi of a branch, e^{-iCt} is the
-real rotation R(t): row k of the Phi half turns with row k of the Psi
-half by the angle e_k t, N 2 x 2 rotations in all. The two branch bases
-differ by the orthogonal K = O_up^T O_down = k_1 (+) k_2, with the N x N
-blocks k_1 = Phi_up^T Phi_down and k_2 = Psi_up^T Psi_down formed once
-per spec, and the filled up modes read W = O_up [1; i 1] / sqrt(2).
+On the determinant route every echo point is a determinant over the
+occupied subspace, |det(W^H S W)| for the propagator string S, with W
+the N filled modes of the up branch (see the freefermion module). The
+kernel works in one symmetry sector, which the spec alone picks, as it
+picks the route. Take the first axis s for which the reflection
+j -> s - j (mod N) of the ring maps the link set to itself. Site signs
+d_j, found by walking the ring bond by bond so that the boundary bond
+keeps its sector sign, make it a signed permutation Pi with
+Pi A Pi^T = A and Pi B Pi^T = -B in both branches. Then U = diag(Pi, -Pi)
+commutes with C_up, C_down and every string S, and the real 2N x N
+columns V that span U = +1 reduce each branch to the N x N matrix
+V^T C V. Particle-hole conjugation maps the U = +1 sector onto U = -1,
+its filled modes onto the empty ones of the other sector, and S onto
+conj(S). So the determinant splits into the sector determinant and its
+complementary minor, which have equal magnitude for a unitary S, and
 
-With Q = k_1^T k_2 and the diagonal c, s = cos, sin(e_down t), a free
-point is
+    L = |det(W_+^H S_+ W_+)|^2,
 
-    |det(W^H e^{-iC_down t} W)| = |det(1/2 [c + Q c Q^T + i (Q s + s Q^T)])|,
+with W_+ the filled modes of the sector, the eigenvectors of negative
+energy (N/2 of them on every spec tried). A link set that no reflection
+maps to itself, such as (1, 2, 4) at N = 6, takes V = 1, the whole 2N
+space, and the power 1.
 
-one real N x N product and one LU.
+In the sector a branch is one real eigh, V^T C V = X diag(e) X^T, its
+evolution e^{+iCt} is the diagonal phase E(t) = diag(e^{+iet}) in its
+eigenbasis, and the two bases differ by the real orthogonal
+K = X_up^T X_down, formed once per spec with one Newton-Schulz step.
+With Q the filled rows of K, a free point is
+
+    |det(W^H e^{+iC_up t} e^{-iC_down t} W)| = |det(Q E_down(-t) Q^T)|,
+
+two real products and one LU of the filled size.
 
 Time t under a pulse train with interval dt decomposes as t = 2 M dt + t_res;
 the propagator string is, with F = e^{+iC_down dt} e^{+iC_up dt} and
@@ -40,39 +51,38 @@ B = conj(F),
                        e^{-iC_up dt}  B^M,      s = t_res - dt,
 
 which is continuous at the branch boundary and reduces to the free string
-for M = 0, t < dt. As C is real symmetric, F^T = e^{+iC_up dt} F
-e^{-iC_up dt}, so B^M W = e^{+iC_up dt} P^H up to column phases that drop
-out of |det|, with the occupied rows P = W^H F^M. Those rows are carried
-in the down basis, P = P_0 G^M with P_0 = [k_1, -i k_2] / sqrt(2) and
-the real orthogonal cycle G = R_down(-dt) K^T R_up(-dt) K, and both
-residual strings read
+for M = 0, t < dt. As C is real symmetric, B = e^{+iC_up dt} F^H
+e^{-iC_up dt}, so B^M W = e^{+iC_up dt} P^H up to column phases that
+drop out of |det|, with the occupied rows P = W^H F^M. Those rows are
+carried in the down basis, R = Q G^M with the unitary cycle
+G = E_down(dt) K^T E_up(dt) K, and both residual strings read
 
-    det(P R_down(-x) K^T R_up(alpha) K R_down(y) P^H),
+    det(b^T E_up(alpha) a),   b = K E_down(x) R^T,   a = conj(K E_down(y) R^T),
 
-with (x, alpha, y) = (t_res, t_res - dt, 0) in the first branch and
-(dt, dt - t_res, t_res - dt) in the second.
+with (x, alpha, y) = (t_res, dt - t_res, 0) in the first branch and
+(dt, t_res - dt, t_res - dt) in the second. One factor depends on M
+alone: a = conj(K R^T) before the mid-cycle pulse, b = K E_down(dt) R^T
+after it.
 
 One pulsed series is one _PulseTrain, which holds everything the series
-carries from point to point: the rows, the ladder of cycle powers and two
-work arrays. It keeps the rows transposed (P^T, 2N x N) and
-C-contiguous, so that every real operator acts on them as one float64
-product over the interleaved real and imaginary parts: K as one batched
-product over the stacked (2, N, N) blocks, a rotation as one batched
-product of N 2 x 2 matrices. A point (log_det) then costs two products
-with K, two or three rotations, one N x 2N by 2N x N complex product and
-one N x N LU. Between points the rows advance by the exact integer
-number of cycles d through a binary ladder of held real powers G^(2^j),
-one 2N x 2N by 2N x 2N product per set bit of d. Each held power gets one
-Newton-Schulz step X (3 - X^T X) / 2, so the rounding of K and of the
-squarings does not build up into a drift of the echo over long trains.
-The ladder grows only to the bit length of the largest jump, so at most
-log2(M) + 1 powers are held.
+carries from point to point: the rows R^T, the ladder of cycle powers
+and the residual factor that depends on M alone. A point (log_det) then
+costs one product with K, the product b^T E_up(alpha) a and one LU of
+the filled size, and one more product with K where the held factor does
+not serve it: at a new M, or on the other side of the mid-cycle pulse.
+Between points the rows advance by the exact integer number of cycles d
+through a binary ladder of held powers (G^T)^(2^j), one product per set
+bit of d. Each held power, and the rows after every jump, get one
+Newton-Schulz step X (3 - X^H X) / 2, so the rounding of K, of the
+squarings and of the jumps does not build up into a drift of the echo
+over long trains. The ladder grows
+only to the bit length of the largest jump, so at most log2(M) + 1
+powers are held.
 
-The effective point is det(L D_eff(t) L^H) with L = W^T V_eff, in the
-eigenbasis V_eff, D_eff of C_eff below. Its filled sea comes from the
-same SVD of the up branch: in the fermion basis W = [u; v] with
-u = (Phi - Psi) / 2 and v = (Phi + Psi) / 2, so the effective echo takes
-no 2N x 2N eigh of C_up.
+The effective generator C_eff below commutes with U too, so the
+effective point is det(L E_eff(t) L^H) to the same power, with
+L = W_+^T Y in the eigenbasis Y, E_eff of V^T C_eff V and W_+ from the
+sector decomposition of the up branch.
 
 For fast pulsing the echo is predicted by the effective generator
 C_eff = i (dt/2) [C_down, C_up], whose entries do not depend on the
@@ -122,45 +132,86 @@ class EchoSeries:
         return np.array([p.log_le for p in self.points])
 
 
+def _sector(spec: ChainSpec, boundary_sign: int) -> tuple[np.ndarray, int]:
+    """The sector columns V and the power of the sector determinant.
+
+    V (2N x N, real, orthonormal) spans U = +1 for the first axis s whose
+    reflection j -> s - j (mod N) maps the link set to itself; with no
+    such axis V is the identity and the power 1.
+    """
+    n, sites = spec.N, np.arange(spec.N)
+    links = {j - 1 for j in spec.links}
+    axis = next((s for s in range(n) if {(s - j) % n for j in links} == links), None)
+    if axis is None:
+        return np.eye(2 * n), 1
+    image = (axis - sites) % n
+    # bond (j, j+1) maps onto bond (s-j-1, s-j), so d_{j+1} = d_j times
+    # the product of their signs; the walk closes, as every sign occurs twice
+    bond = np.where(sites == n - 1, float(boundary_sign), 1.0)
+    steps = bond * bond[(axis - sites - 1) % n]
+    signs = np.cumprod(np.concatenate(([1.0], steps[:-1])))
+    # U = diag(Pi, -Pi) takes site j of either half to s - j, with sign +-d_j
+    perm = np.eye(2 * n)[:, np.concatenate([image, image + n])]
+    projector = 0.5 * (np.eye(2 * n) + perm * np.concatenate([signs, -signs]))
+    # one column per orbit {j, s - j} and half, of squared norm its diagonal
+    # entry; a fixed site gives one column, the other is zero
+    norm2 = projector.diagonal()
+    keep = np.concatenate([sites <= image] * 2) & (norm2 > 0)
+    return projector[:, keep] / np.sqrt(norm2[keep]), 2
+
+
 def _modes(spec: ChainSpec, branch: str, boundary_sign: int):
-    """SVD A + B = Psi diag(e) Phi^T of one branch, as (Psi, e, Phi^T).
+    """Sector spectrum of one branch, as (e, X, V, power): the ascending
+    eigenvalues e and eigenvectors X of V^T C V, with V and power from
+    _sector.
 
     Raises SpecError for odd N, where the calibrated antiperiodic sector
     misses the oracle echo (by 8e-4 to 5e-2 at N = 3, 5, 7, one link,
     Jt <= 10). For the up branch, whose modes are filled, it raises
     DegenerateFillingError when the filled sea is ambiguous: a mode energy
     below half the 1e-12 gap that freefermion.ground_correlation asks of
-    the 2N spectrum.
+    the 2N spectrum, which is the sector spectrum and its negative.
     """
     if spec.N % 2:
         raise SpecError(f"the determinant echo needs even N, got N={spec.N}")
-    m = freefermion.build_bdg(spec, branch, boundary_sign)
-    psi, e, phi_t = np.linalg.svd(m.A + m.B)
-    if branch == "up" and 2.0 * e[-1] < 1e-12:
+    v, power = _sector(spec, boundary_sign)
+    e, x = np.linalg.eigh(v.T @ freefermion.build_bdg(spec, branch, boundary_sign).C @ v)
+    gap = float(np.min(np.abs(e)))
+    if branch == "up" and 2.0 * gap < 1e-12:
         raise freefermion.DegenerateFillingError(
-            f"filling boundary degenerate: mode energies +-{float(e[-1])!r} "
+            f"filling boundary degenerate: mode energies +-{gap!r} "
             "at the Fermi level")
-    return psi, e, phi_t
+    return e, x, v, power
+
+
+def _unitarized(x: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step x (3 - x^H x) / 2 toward orthonormal columns."""
+    return x @ (1.5 * np.eye(x.shape[1]) - 0.5 * (x.conj().T @ x))
 
 
 class _BranchData:
-    """Both branches of one fermion sector, each in its own Majorana basis.
+    """Both branches of one fermion sector in the symmetry sector of the spec.
 
-    e_up and e_down are the mode energies, and k stacks the blocks k_1
-    and k_2 of K as one (2, N, N) array; k_t holds their transposes.
+    e_up and e_down are the sector mode energies, the down branch taken
+    in the sector columns V that _modes returns for the up branch;
+    k = X_up^T X_down is the real change of basis after one Newton-Schulz
+    step (the product of two float64 eigh bases is orthogonal only to
+    about 1e-15, and that error, powered over a long train, would set the
+    drift of the echo); filled is the number of filled up modes (the first
+    rows of k) and power the power of the sector determinant.
     Raises what _modes raises.
     """
 
     def __init__(self, spec: ChainSpec, boundary_sign: int = BOUNDARY_SIGN):
-        psi_up, self.e_up, phi_up_t = _modes(spec, "up", boundary_sign)
-        psi_down, self.e_down, phi_down_t = _modes(spec, "down", boundary_sign)
-        self.spec = spec
-        self.k = np.stack([phi_up_t @ phi_down_t.T, psi_up.T @ psi_down])
-        self.k_t = np.ascontiguousarray(self.k.transpose(0, 2, 1))
+        self.e_up, x_up, v, self.power = _modes(spec, "up", boundary_sign)
+        c_down = freefermion.build_bdg(spec, "down", boundary_sign).C
+        self.e_down, x_down = np.linalg.eigh(v.T @ c_down @ v)
+        self.filled = int(np.count_nonzero(self.e_up < 0))
+        self.k = _unitarized(x_up.T @ x_down)
 
 
 def _log_det(m: np.ndarray) -> float:
-    """log|det m| of the N x N matrix of every echo point."""
+    """log|det m| of the matrix of every echo point."""
     return float(np.linalg.slogdet(m)[1])
 
 
@@ -182,101 +233,79 @@ def _series(ts: np.ndarray, log_dets: Sequence[float], kind: str) -> EchoSeries:
 
 
 def _free_log_dets(data: _BranchData, ts: np.ndarray) -> list[float]:
-    """log|det| of the free string e^{+iC_up t} e^{-iC_down t} at each time,
-    det(1/2 [c + Q c Q^T + i (Q s + s Q^T)]) with Q = k_1^T k_2."""
-    q = data.k_t[0] @ data.k[1]
-    q_t = np.ascontiguousarray(q.T)
-    out = []
-    for t in ts:
-        half = 0.5 * np.exp(1j * data.e_down * t)
-        m = np.empty(q.shape, dtype=complex)
-        m.real = (q * half.real) @ q_t
-        m.real.flat[::len(q) + 1] += half.real
-        qs = q * half.imag
-        m.imag = qs + q_t * half.imag[:, None]
-        out.append(_log_det(m))
-    return out
-
-
-def _rotate(src: np.ndarray, e: np.ndarray, x: float, out: np.ndarray) -> np.ndarray:
-    """R(x) src into out, both real (2, N, m): row k of either half turns
-    with row k of the other by the angle e_k x, as one batched product of
-    N 2 x 2 rotations. out must not overlap src."""
-    c, s = np.cos(e * x), np.sin(e * x)
-    np.matmul(np.array([[c, s], [-s, c]]).transpose(2, 0, 1), src.transpose(1, 0, 2),
-              out=out.transpose(1, 0, 2))
-    return out
-
-
-def _orthogonalized(x: np.ndarray) -> np.ndarray:
-    """One Newton-Schulz step x (3 - x^T x) / 2 toward the nearest orthogonal matrix."""
-    return x @ (1.5 * np.eye(len(x)) - 0.5 * (x.T @ x))
+    """log L of the free string e^{+iC_up t} e^{-iC_down t} at each time,
+    power times log|det(Q E_down(-t) Q^T)| with Q the filled rows of k."""
+    q = data.k[:data.filled]
+    return [data.power * _log_det((q * p.real) @ q.T + 1j * ((q * p.imag) @ q.T))
+            for p in np.exp(-1j * np.outer(ts, data.e_down))]
 
 
 class _PulseTrain:
     """One pulsed series on the determinant route, carried from point to point.
 
-    It holds the occupied rows P^T (times sqrt(2)) at the current cycle
-    count m, the ladder of held powers (G^T)^(2^j) of the real cycle
-    G^T = K^T R_up(dt) K R_down(dt), and two real (2, N, 2N) work arrays:
-    allocating those afresh made a point at N = 100 about 40% slower
-    (2 vCPUs, OpenBLAS). Each held power gets one Newton-Schulz step, so
-    rounding in K and in the squarings does not build up into a drift of
-    the echo over long trains. The ladder grows only as far as the
-    largest jump asks, so a series whose rows reach M cycles holds at most
-    M.bit_length() matrices.
+    It holds the occupied rows R^T at the current cycle count m, the
+    ladder of held powers (G^T)^(2^j) of the cycle
+    G^T = K^T E_up(dt) K E_down(dt), and the residual factor that depends
+    on m and the branch alone, with its key (m, branch); a series at
+    ascending times asks for each key in one run. Each held power gets one
+    Newton-Schulz step, so rounding in K and in the squarings does not
+    build up into a drift of the echo over long trains, and so do the rows
+    after every jump: without it their Gram matrix drifted by about 1e-15
+    per product, 2e-13 after 248 one-cycle jumps at N = 100, which moved
+    log L by 1.6e-12. The ladder grows
+    only as far as the largest jump asks, so a series whose rows reach M
+    cycles holds at most M.bit_length() matrices.
     """
 
     def __init__(self, data: _BranchData, dt: float):
         self.data, self.dt = data, dt
-        n = data.spec.N
-        self.a, self.b = np.empty((2, n, 2 * n)), np.empty((2, n, 2 * n))
-        x = _rotate(np.eye(2 * n).reshape(2, n, 2 * n), data.e_down, dt, self.a)
-        y = _rotate(np.matmul(data.k, x), data.e_up, dt, self.b)
-        np.matmul(data.k_t, y, out=x)
-        self.powers = [_orthogonalized(x.reshape(2 * n, 2 * n))]
-        # P^T at m = 0, the occupied up modes in the down basis, times
-        # sqrt(2): [Phi_down^T Phi_up; -i Psi_down^T Psi_up], 2N x N complex
-        self.rows = np.concatenate([data.k_t[0], -1j * data.k_t[1]])
-        self.m = 0
+        cycle = data.k.T @ (np.exp(1j * data.e_up * dt)[:, None] * data.k)
+        self.powers = [_unitarized(cycle * np.exp(1j * data.e_down * dt))]
+        self.rows = data.k[:data.filled].T.astype(complex)
+        self.m, self.held = 0, (None, None)
 
     def advance(self, m: int) -> None:
         """Carry the rows forward to m >= self.m cycles, one product per
-        set bit of the jump."""
+        set bit of the jump, and give them one Newton-Schulz step."""
         cycles, j = m - self.m, 0
         while cycles:
             if j == len(self.powers):
-                self.powers.append(_orthogonalized(self.powers[-1] @ self.powers[-1]))
+                self.powers.append(_unitarized(self.powers[-1] @ self.powers[-1]))
             if cycles & 1:
-                self.rows = (self.powers[j] @ self.rows.view(np.float64)).view(np.complex128)
+                self.rows = self.powers[j] @ self.rows
             cycles >>= 1
             j += 1
+        if m != self.m:
+            self.rows = _unitarized(self.rows)
         self.m = m
 
-    def log_det(self, t_res: float, branch: int) -> float:
-        """log|det| of F^M mid B^M at t = 2 M dt + t_res, M = self.m.
+    def _k_rows(self, x: float) -> np.ndarray:
+        """K E_down(x) R^T."""
+        return self.data.k @ (np.exp(1j * self.data.e_down * x)[:, None] * self.rows)
 
-        It is det(P^* R_down(-y) K^T R_up(-alpha) K R_down(x) P^T) / 2^N, with
-        (x, alpha, y) = (t_res, t_res - dt, 0) in branch 1, before the
-        mid-cycle pulse, and (dt, dt - t_res, t_res - dt) in branch 2,
-        after it; /2^N undoes the sqrt(2) of the rows.
+    def log_det(self, t_res: float, branch: int) -> float:
+        """log L of F^M mid B^M at t = 2 M dt + t_res, M = self.m.
+
+        It is power times log|det(b^T E_up(alpha) a)|, with
+        b = K E_down(x) R^T and a = conj(K E_down(y) R^T) for
+        (x, alpha, y) = (t_res, dt - t_res, 0) in branch 1, before the
+        mid-cycle pulse, and (dt, t_res - dt, t_res - dt) in branch 2,
+        after it. The factor with y = 0 or x = dt depends on M alone and
+        is held.
         """
-        data, dt, a, b, rows = self.data, self.dt, self.a, self.b, self.rows
-        x, alpha, y = ((t_res, t_res - dt, 0.0) if branch == 1
-                       else (dt, dt - t_res, t_res - dt))
-        _rotate(rows.view(np.float64).reshape(a.shape), data.e_down, x, a)
-        np.matmul(data.k, a, out=b)
-        _rotate(b, data.e_up, -alpha, a)
-        np.matmul(data.k_t, a, out=b)
-        w = (_rotate(b, data.e_down, -y, a) if y else b).reshape(rows.shape[0], -1)
-        w = w.view(np.complex128)
-        m = rows.T @ np.conjugate(w, out=w)
-        m *= 0.5
-        return _log_det(m)
+        dt, first = self.dt, branch == 1
+        x, alpha, y = (t_res, dt - t_res, 0.0) if first else (dt, t_res - dt, t_res - dt)
+        if self.held[0] != (self.m, branch):
+            self.held = ((self.m, branch),
+                         self._k_rows(y).conj() if first else self._k_rows(x))
+        fixed = self.held[1]
+        a, b = (fixed, self._k_rows(x)) if first else (self._k_rows(y).conj(), fixed)
+        m = b.T @ (np.exp(1j * self.data.e_up * alpha)[:, None] * a)
+        return self.data.power * _log_det(m)
 
 
 def _pulsed_log_dets(data: _BranchData, dt: float, ts: np.ndarray) -> list[float]:
-    """log|det| of the pulsed string at ascending times; rows jump by whole cycles."""
+    """log L of the pulsed string at ascending times; rows jump by whole cycles."""
     if np.any(np.diff(ts) < 0):
         raise SpecError("pulsed series needs ascending times")
     cycles = PulseSchedule(dt).cycles(ts)
@@ -354,14 +383,13 @@ def loschmidt_effective(spec: ChainSpec, schedule: PulseSchedule,
     """
     if grid.mode != "cycles":
         raise SpecError("loschmidt_effective needs a cycle-aligned grid")
-    psi, _, phi_t = _modes(spec, "up", BOUNDARY_SIGN)
+    e, x, v, power = _modes(spec, "up", BOUNDARY_SIGN)
     gen = effective_bdg(spec, schedule)
-    evals, vecs = np.linalg.eigh(gen.C)
-    # W^T for the filled sea W = [u; v], u = (Phi - Psi) / 2, v = (Phi + Psi) / 2
-    left = 0.5 * np.concatenate([phi_t - psi.T, phi_t + psi.T], axis=1) @ vecs
+    evals, vecs = np.linalg.eigh(v.T @ gen.C @ v)
+    left = x[:, e < 0].T @ vecs
     right = left.conj().T
     ts = grid.times(schedule)
-    log_dets = [_log_det((left * np.exp(1j * evals * t)) @ right) for t in ts]
+    log_dets = [power * _log_det((left * np.exp(1j * evals * t)) @ right) for t in ts]
     return _series(ts, log_dets, "effective")
 
 

@@ -38,10 +38,12 @@ decay below double-precision range stay representable through their
 logarithm.
 
 ``propagator`` and ``gaussian_overlap`` evaluate the 2N x 2N form
-directly and serve as the reference; the echo module evaluates the
-N x N form in the real Majorana bases of the two branches, which take
-one N x N SVD of A + B each; the SVD of the up branch also gives the
-filled sea of the effective echo.
+directly and serve as the reference. The echo module evaluates the
+occupied-subspace form in a symmetry sector of the ring: where a
+reflection maps the link set to itself, each branch is one real N x N
+eigh and the echo is the square of a determinant of size N/2; where none
+does, it works over the whole 2N space. The up branch's sector
+decomposition also gives the filled sea of the effective echo.
 """
 
 from __future__ import annotations

@@ -599,10 +599,14 @@ class TestCheckAndCalibrate:
         out = tmp_path / "check.csv"
         assert main(["check", "--out", str(out)]) == 0
         captured = capsys.readouterr().out
-        assert "oracle check" in captured
+        assert "over 72 combinations" in captured
         header, rows = _read_csv(out)
-        assert header[0] == "check"
+        assert header[0] == "check" and len(rows) == 72
         assert {r[header.index("epsilon")] for r in rows} == {"0.25"}  # the specs' coupling
+        # per N: one link, two adjacent links, (1, 2, 4) and every site
+        links = {(r[header.index("N")], r[header.index("m")]) for r in rows}
+        assert links == {("4", "1"), ("4", "2"), ("4", "3"), ("4", "4"),
+                         ("6", "1"), ("6", "2"), ("6", "3"), ("6", "6")}
         assert max(float(r[-1]) for r in rows) <= 1e-8
 
     def test_check_fails_on_nan_residual(self, tmp_path, capsys, monkeypatch):

@@ -252,9 +252,9 @@ class TestHeldDecomposition:
         monkeypatch.setattr(oracle._Spectral, "__init__", counting_init)
         rows, _ = cli.oracle_check_suite()
         # a free and two pulsed rows per spec, but one decomposition
-        assert len(rows) == 36
-        assert len(inits) == len(set(inits)) == 12
-        assert len(built) == 24
+        assert len(rows) == 72
+        assert len(inits) == len(set(inits)) == 24
+        assert len(built) == 48
 
     @pytest.mark.parametrize("other", [
         {"epsilon": 0.4}, {"links": (1, 2, 3, 4, 5, 6)}], ids=["epsilon", "links"])
