@@ -14,11 +14,11 @@ calibration failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +85,7 @@ def _closed_form(config: RunConfig) -> echo.EchoSeries:
 def _table(columns: tuple[str, ...], groups) -> tuple[list[str], list[list]]:
     """The columns and, for each (labels, records) pair of groups, one row
     per record: the labels, then the record's fields in order."""
-    return list(columns), [[*labels, *astuple(record)]
+    return list(columns), [[*labels, *vars(record).values()]
                            for labels, records in groups for record in records]
 
 
@@ -242,9 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built at its first call, not at import; every
+    parse_args call fills a fresh namespace, so calls share no flags."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, SpecError) as exc:

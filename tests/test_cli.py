@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +183,43 @@ class TestRunCommand:
         first = out.read_bytes()
         assert main(["run", "--config", str(path)]) == 0
         assert out.read_bytes() == first
+
+    def test_repeated_calls_in_one_process_match_fresh_processes(
+            self, tmp_path, monkeypatch, capsys):
+        # main reuses one parser within a process; no flag of one call may
+        # reach the next, as when a caller runs many jobs in one process
+        calls = [
+            (["run", "--mode", "pulsed", *SPEC_FLAGS, *GRID_FLAGS, "--dt", "0.4",
+              "--out", "pulsed.csv"], 0),
+            (["run", "--mode", "free", "--dt", "0.3", "--foo", "1",
+              "--out", "usage.csv"], 1),
+            (["run", "--mode", "free", *SPEC_FLAGS, *GRID_FLAGS,
+              "--out", "free.csv"], 0),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(echo.__file__).parents[1])}
+        written = {}
+        for where in ("fresh", "reused"):
+            cwd = tmp_path / where
+            cwd.mkdir()
+            for argv, code in calls:
+                if where == "fresh":
+                    result = subprocess.run(
+                        [sys.executable, "-m", "bbecho.cli", *argv], cwd=cwd, env=env,
+                        capture_output=True, text=True)
+                    assert result.returncode == code, result.stderr
+                    continue
+                monkeypatch.chdir(cwd)
+                if code:
+                    with pytest.raises(SystemExit) as exc:
+                        main(argv)
+                    assert exc.value.code == code
+                else:
+                    assert main(argv) == 0
+            capsys.readouterr()
+            written[where] = {p.name: p.read_bytes() for p in cwd.iterdir()}
+        assert sorted(written["fresh"]) == ["free.csv", "free.meta.json",
+                                            "pulsed.csv", "pulsed.meta.json"]
+        assert written["reused"] == written["fresh"]
 
     def test_flags_override_file(self, tmp_path):
         out = tmp_path / "pulsed.csv"

@@ -328,6 +328,40 @@ class TestCycleJumps:
         assert np.max(np.abs(log_le - exact)) <= 1e-11
 
 
+class TestRealProduct:
+    """The real K applied to complex rows as one real product on their
+    float64 view, against the same product in complex arithmetic."""
+
+    @staticmethod
+    def _assert_close(got, expected):
+        assert got.dtype == np.complex128 and got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("links", [(1,), (1, 2), (1, 2, 4)],
+                             ids=["site", "bond", "no-axis"])
+    def test_k_rows_match_the_complex_product(self, links):
+        data = echo._BranchData(_spec(N=6, lam=0.8, links=links))
+        dt = 0.3
+        train = echo._PulseTrain(data, dt)
+        k = data.k.astype(complex)
+
+        def check():
+            for x in (0.0, 0.11, dt):
+                rows = np.exp(1j * data.e_down * x)[:, None] * train.rows
+                self._assert_close(train._k_rows(x), k @ rows)
+
+        assert train.rows.flags.c_contiguous
+        cycle = k.T @ (np.exp(1j * data.e_up * dt)[:, None] * k)
+        self._assert_close(train.powers[0], echo._unitarized(
+            cycle * np.exp(1j * data.e_down * dt)))
+        check()
+        train.advance(11)  # three set bits: three jumps up the ladder
+        check()
+        train.rows = np.asfortranarray(train.rows)
+        assert not train.rows.flags.c_contiguous
+        check()
+
+
 def _pair_reference(spec, dt, ts):
     """log L of a spin star from explicit 2x2 pair matrices, per mode the
     branch strings of oracle.amplitude_pulsed, with the cycle power taken
