@@ -1,5 +1,11 @@
 """Command-line front end: run, preset, check, calibrate.
 
+``run``, ``preset`` and ``check`` differ only in where their raw config
+text comes from: the ``--config`` file (or none), a named preset, or the
+fixed oracle-check config. ``main`` applies the command-line flags to
+that text and runs ``build_run_config`` and ``_execute`` on it, one path
+for all three. ``calibrate`` is the one verb without a config.
+
 Every run writes one data file (CSV by default) plus a JSON sidecar with
 the resolved configuration, the frozen conventions, and the library
 version, and no other file. Identical configurations produce
@@ -58,7 +64,7 @@ def _write_table(path: Path, fmt: str, columns: list[str], rows: list[list]) -> 
         path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 
-def _write_sidecar(out: Path, config: RunConfig, extra: dict | None = None) -> None:
+def _write_sidecar(out: Path, config: RunConfig, extra: dict) -> None:
     sidecar = out.with_suffix(".meta.json")
     payload = {
         "version": __version__,
@@ -67,9 +73,8 @@ def _write_sidecar(out: Path, config: RunConfig, extra: dict | None = None) -> N
             "det_exponent": conventions.DET_EXPONENT,
         },
         "config": config_as_dict(config),
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     sidecar.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
 
@@ -96,13 +101,7 @@ def _echo(series: echo.EchoSeries) -> tuple[list[str], list[list]]:
     return _table(_ECHO, [((), series.points)])
 
 
-def _worst(rows: list[list]) -> float:
-    """The largest residual, the last cell of each row. np.max keeps a NaN
-    residual, which the caller must see as a failure."""
-    return float(np.max([row[-1] for row in rows]))
-
-
-def oracle_check_suite() -> tuple[list[list], float]:
+def oracle_check_suite() -> list[list]:
     """Free and pulsed echo residuals, each spec on its echo route, vs the
     2^N oracle. On the determinant route a single link has a site-centred
     reflection axis, two adjacent links a bond-centred one, and (1, 2, 4)
@@ -118,7 +117,7 @@ def oracle_check_suite() -> tuple[list[list], float]:
                        oracle.amplitude_pulsed(spec, PulseSchedule(delta_t=dt), ts))
                 diff = float(np.max(np.abs(series.le - np.abs(amp) ** 2)))
                 rows.append([series.points[0].kind, n, lam, spec.epsilon, len(links), dt, diff])
-    return rows, _worst(rows)
+    return rows
 
 
 # mode -> config -> (columns, rows); "family" is the curve family that
@@ -137,7 +136,7 @@ _RUNS = {
     "sweep": lambda c: _table(("lambda", "delta_t", "le_pulsed", "le_free", "ratio"),
                               [((), echo.sweep(c.spec, **vars(c.axes)))]),
     "oracle-check": lambda c: (["check", "N", "lambda", "epsilon", "m", "delta_t",
-                                "max_abs_diff"], oracle_check_suite()[0]),
+                                "max_abs_diff"], oracle_check_suite()),
 }
 
 
@@ -155,7 +154,9 @@ def _execute(config: RunConfig) -> int:
     columns, rows = _RUNS["family" if family else config.mode](config)
     checked = config.mode == "oracle-check"
     if checked:
-        worst = _worst(rows)
+        # the largest residual, the last cell of each row; np.max keeps a
+        # NaN residual, which must count as a failure
+        worst = float(np.max([row[-1] for row in rows]))
         extra["oracle_check"] = {"max_abs_diff": _json_safe(worst), "tol": oracle.TOL}
     _write_table(out, config.fmt, columns, rows)
     _write_sidecar(out, config, extra)
@@ -175,29 +176,7 @@ def _add_flags(sub: argparse.ArgumentParser, flags) -> None:
         sub.add_argument(flag, dest=flag, metavar=key, help=f"overrides [{section}] {key}")
 
 
-def _execute_raw(raw: dict[str, dict[str, str]], args: argparse.Namespace) -> int:
-    """Apply the flags given on the command line to raw config text and run it."""
-    for flag, (section, key) in FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            raw.setdefault(section, {})[key] = value
-    return _execute(build_run_config(raw))
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    return _execute_raw(read_config_file(args.config) if args.config else {}, args)
-
-
-def _cmd_preset(args: argparse.Namespace) -> int:
-    return _execute_raw(read_preset(args.name), args)
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    raw = {"run": {"mode": "oracle-check", "out": "oracle-check.csv"}}
-    return _execute_raw(raw, args)
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
+def _calibrate() -> int:
     conv = conventions.ensure(__version__)
     print(f"boundary_sign = {conventions.BOUNDARY_SIGN:+d}")
     print(f"det_exponent  = {conventions.DET_EXPONENT}")
@@ -214,7 +193,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built at its first call, not at import; every
+    parse_args call fills a fresh namespace, so calls share no flags.
+
+    Each verb but calibrate sets ``raw``, a function of the parsed
+    arguments that returns the raw config text its flags then override.
+    """
     parser = _Parser(
         prog="bbecho",
         description="Loschmidt echo of a qubit under bang-bang control "
@@ -226,33 +212,33 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a configured computation")
     run.add_argument("--config", help="structured-text config file")
     _add_flags(run, FLAGS)
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(raw=lambda a: read_config_file(a.config) if a.config else {})
 
     pre = sub.add_parser("preset", help="run a named figure preset")
     pre.add_argument("name", help="fig1 | fig2 | fig3 | fig4")
     _add_flags(pre, ("--out", "--format"))
-    pre.set_defaults(func=_cmd_preset)
+    pre.set_defaults(raw=lambda a: read_preset(a.name))
 
     chk = sub.add_parser("check", help="compare against the exact-diagonalization oracle")
     _add_flags(chk, ("--out",))
-    chk.set_defaults(func=_cmd_check)
+    chk.set_defaults(raw=lambda a: {"run": {"mode": "oracle-check",
+                                            "out": "oracle-check.csv"}})
 
-    cal = sub.add_parser("calibrate", help="re-derive and print the numerical conventions")
-    cal.set_defaults(func=_cmd_calibrate)
+    sub.add_parser("calibrate", help="re-derive and print the numerical conventions")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built at its first call, not at import; every
-    parse_args call fills a fresh namespace, so calls share no flags."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "calibrate":
+            return _calibrate()
+        raw = args.raw(args)
+        for flag, (section, key) in FLAGS.items():
+            value = getattr(args, flag, None)
+            if value is not None:
+                raw.setdefault(section, {})[key] = value
+        return _execute(build_run_config(raw))
     except (ConfigError, SpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -8,9 +8,13 @@ presets all pass through it.
 Unknown sections or keys are errors, and a value that does not parse
 names its ``[section] key``. A second table, ``_MODES``, names the
 sections each mode needs and the keys it reads; a key the mode does not
-read is refused. Command-line flags override file keys. The
-fully resolved configuration is echoed into the JSON sidecar of every run
-so any output file can be reproduced from its sidecar alone.
+read is refused. Where the mode reads an ``[axes]`` list and the list is
+given, the mode does not read the single key it replaces ([spec] lambda
+for lambdas, [schedule] delta_t for delta_ts). A needed section that is
+absent is built from no keys and so reported by its first missing key.
+Command-line flags override file keys. The fully resolved configuration,
+the keys the run reads and no other, is echoed into the JSON sidecar of
+every run so any output file can be reproduced from its sidecar alone.
 """
 
 from __future__ import annotations
@@ -43,26 +47,8 @@ class RunConfig:
     axes: Optional[SweepAxes] = None
     out: str = "bbecho-out.csv"
     fmt: str = "csv"
-
-    def validated(self) -> "RunConfig":
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.fmt!r}; choose csv or json")
-        for section in _MODES[self.mode][0]:
-            if getattr(self, section) is None:
-                raise ConfigError(f"mode {self.mode} needs a [{section}] section")
-        if self.mode == "spinstar-analytic" and not self.spec.is_spin_star:
-            raise ConfigError("spinstar-analytic needs links = all")
-        if (self.mode in ("pulsed", "sweep") and self.schedule is None
-                and (self.axes is None or self.axes.delta_ts is None)):
-            raise ConfigError(f"mode {self.mode} needs [schedule] delta_t "
-                              "or [axes] delta_ts")
-        if self.mode == "sweep" and None in (self.axes.t_star, self.axes.half_width):
-            raise ConfigError("sweep axes need t_star and half_width")
-        if (self.grid is not None and self.grid.mode == "cycles"
-                and (self.mode == "free" or self.axes is not None)):
-            raise ConfigError("[grid] mode = cycles needs a series with one pulse "
-                              "interval, not mode free or an [axes] curve family")
-        return self
+    # the (section, key) pairs this run reads; build_run_config sets them
+    reads: frozenset = frozenset()
 
 
 def _parse_links(text: str):
@@ -161,8 +147,9 @@ def read_config_file(path: str) -> dict[str, dict[str, str]]:
 def _section(section: str, values: dict[str, str], reads: frozenset):
     """RunConfig keyword arguments for [run], else the section's record.
 
-    A required field whose key the mode does not read is set to 0.0, a
-    value no output of the mode sees (spinstar-analytic's lambda).
+    A required field whose key the run does not read is set to 0.0, a
+    value no output of the run sees (spinstar-analytic's lambda, or a
+    single key that a given [axes] list replaces).
     """
     kwargs = {}
     for key, text in values.items():
@@ -193,35 +180,54 @@ def build_run_config(raw: dict[str, dict[str, str]]) -> RunConfig:
     """Typed RunConfig from raw strings; all domain validation applies.
 
     An [axes] section's absent lambdas or delta_ts is the one value of
-    [spec] lambda or [schedule] delta_t; a present one takes its place.
+    [spec] lambda or [schedule] delta_t; a present one takes its place,
+    and the mode then does not read that single key.
     """
     mode = raw.get("run", {}).get("mode", RunConfig.mode)
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {MODES}")
-    reads = _MODES[mode][1]
+    needs, reads = _MODES[mode]
+    for axis, single in (("lambdas", ("spec", "lambda")),
+                         ("delta_ts", ("schedule", "delta_t"))):
+        if ("axes", axis) in reads and axis in raw.get("axes", {}):
+            reads -= {single}
     for section, values in raw.items():
         for key in values:
             if (section, key) not in reads:
                 raise ConfigError(f"[{section}] {key} is not read by mode {mode}")
         if section not in {sec for sec, _ in reads}:
             raise ConfigError(f"[{section}] is not read by mode {mode}")
+    # raw sections first, so a malformed value is reported before a missing key
     parts = {section: _section(section, values, reads)
              for section, values in raw.items()}
-    config = RunConfig(**parts.pop("run", {}), **parts).validated()
-    if config.axes is not None:  # free has no schedule and keeps delta_ts None
-        axes, schedule = config.axes, config.schedule
-        config.axes = replace(axes, lambdas=axes.lambdas or (config.spec.lam,),
+    parts |= {section: _section(section, {}, reads)
+              for section in needs if section not in parts}
+    config = RunConfig(**parts.pop("run", {}), **parts, reads=reads)
+    spec, schedule, grid, axes = config.spec, config.schedule, config.grid, config.axes
+    if config.fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown format {config.fmt!r}; choose csv or json")
+    if mode == "spinstar-analytic" and not spec.is_spin_star:
+        raise ConfigError("spinstar-analytic needs links = all")
+    if (mode in ("pulsed", "sweep") and schedule is None
+            and (axes is None or axes.delta_ts is None)):
+        raise ConfigError(f"mode {mode} needs [schedule] delta_t or [axes] delta_ts")
+    if mode == "sweep" and None in (axes.t_star, axes.half_width):
+        raise ConfigError("sweep axes need t_star and half_width")
+    if grid is not None and grid.mode == "cycles" and (mode == "free" or axes is not None):
+        raise ConfigError("[grid] mode = cycles needs a series with one pulse "
+                          "interval, not mode free or an [axes] curve family")
+    if axes is not None:  # free has no schedule and keeps delta_ts None
+        config.axes = replace(axes, lambdas=axes.lambdas or (spec.lam,),
                               delta_ts=axes.delta_ts or schedule and (schedule.delta_t,))
     return config
 
 
 def config_as_dict(config: RunConfig) -> dict:
-    """JSON-ready snapshot of the keys the mode reads, laid out as _KEYS."""
+    """JSON-ready snapshot of the keys the run reads, laid out as _KEYS."""
     out: dict = {}
-    reads = _MODES[config.mode][1]
     for (section, key), (field, *_) in _KEYS.items():
         record = config if section == "run" else getattr(config, section)
-        if record is None or (section, key) not in reads:
+        if record is None or (section, key) not in config.reads:
             continue
         value = getattr(record, field)
         target = out if section == "run" else out.setdefault(section, {})
@@ -237,7 +243,6 @@ def config_as_dict(config: RunConfig) -> dict:
 _CHAIN_100 = """
 [spec]
 N = 100
-lambda = 1.0
 epsilon = 0.25
 links = 1
 """
@@ -288,7 +293,6 @@ mode = sweep
 out = fig4.csv
 [spec]
 N = 300
-lambda = 1.0
 epsilon = 0.01
 links = all
 [axes]

@@ -166,14 +166,14 @@ def _sector(spec: ChainSpec, boundary_sign: int) -> tuple[np.ndarray, int]:
     return projector[:, keep] / np.sqrt(norm2[keep]), 2
 
 
-def _modes(spec: ChainSpec, branch: str, boundary_sign: int):
-    """Sector spectrum of one branch, as (e, X, V, power): the ascending
+def _modes(spec: ChainSpec, boundary_sign: int):
+    """Sector spectrum of the up branch, as (e, X, V, power): the ascending
     eigenvalues e and eigenvectors X of V^T C V, with V and power from
     _sector.
 
     Raises SpecError for odd N, where the calibrated antiperiodic sector
     misses the oracle echo (by 8e-4 to 5e-2 at N = 3, 5, 7, one link,
-    Jt <= 10). For the up branch, whose modes are filled, it raises
+    Jt <= 10). The up modes are filled, so it raises
     DegenerateFillingError when the filled sea is ambiguous: a mode energy
     below half the 1e-12 gap that freefermion.ground_correlation asks of
     the 2N spectrum, which is the sector spectrum and its negative.
@@ -181,9 +181,9 @@ def _modes(spec: ChainSpec, branch: str, boundary_sign: int):
     if spec.N % 2:
         raise SpecError(f"the determinant echo needs even N, got N={spec.N}")
     v, power = _sector(spec, boundary_sign)
-    e, x = np.linalg.eigh(v.T @ freefermion.build_bdg(spec, branch, boundary_sign).C @ v)
+    e, x = np.linalg.eigh(v.T @ freefermion.build_bdg(spec, "up", boundary_sign).C @ v)
     gap = float(np.min(np.abs(e)))
-    if branch == "up" and 2.0 * gap < 1e-12:
+    if 2.0 * gap < 1e-12:
         raise freefermion.DegenerateFillingError(
             f"filling boundary degenerate: mode energies +-{gap!r} "
             "at the Fermi level")
@@ -219,7 +219,7 @@ class _BranchData:
     """
 
     def __init__(self, spec: ChainSpec, boundary_sign: int = BOUNDARY_SIGN):
-        self.e_up, x_up, v, self.power = _modes(spec, "up", boundary_sign)
+        self.e_up, x_up, v, self.power = _modes(spec, boundary_sign)
         c_down = freefermion.build_bdg(spec, "down", boundary_sign).C
         self.e_down, x_down = np.linalg.eigh(v.T @ c_down @ v)
         self.filled = int(np.count_nonzero(self.e_up < 0))
@@ -405,7 +405,7 @@ def loschmidt_effective(spec: ChainSpec, schedule: PulseSchedule,
     """
     if grid.mode != "cycles":
         raise SpecError("loschmidt_effective needs a cycle-aligned grid")
-    e, x, v, power = _modes(spec, "up", BOUNDARY_SIGN)
+    e, x, v, power = _modes(spec, BOUNDARY_SIGN)
     gen = effective_bdg(spec, schedule)
     evals, vecs = np.linalg.eigh(v.T @ gen.C @ v)
     left = x[:, e < 0].T @ vecs

@@ -68,6 +68,11 @@ class ChainSpec:
             raise SpecError(f"J must be positive, got {self.J}")
         if self.lam < 0:
             raise SpecError(f"lam must be nonnegative, got {self.lam}")
+        # the largest on-site field of the fermion chain; float products
+        # overflow to inf without a warning
+        if not math.isfinite(2.0 * (self.J * self.lam + abs(self.epsilon))):
+            raise SpecError(f"the field 2 (J lam + |epsilon|) overflows at J = {self.J!r}, "
+                            f"lam = {self.lam!r}, epsilon = {self.epsilon!r}")
         if isinstance(self.links, (int, np.integer)):
             raise SpecError("links must be a collection of site indices")
         links = tuple(sorted({_as_int("link", j) for j in self.links}))

@@ -153,7 +153,7 @@ class TestPresets:
         from bbecho import config as config_mod
 
         tiny = ("[run]\nmode = sweep\nout = tiny.csv\n"
-                "[spec]\nN = 6\nlambda = 1.0\nepsilon = 0.25\nlinks = 1\n"
+                "[spec]\nN = 6\nepsilon = 0.25\nlinks = 1\n"
                 "[axes]\nlambdas = 0.9, 1.1\ndelta_ts = 0.4\n"
                 "t_star = 2.0\nhalf_width = 1.0\nwindow_points = 11\n")
         monkeypatch.setitem(config_mod._PRESETS, "tiny", tiny)
@@ -162,6 +162,12 @@ class TestPresets:
         header, rows = _read_csv(out)
         assert header[0] == "lambda" and len(rows) == 2
         assert (tmp_path / "tiny.meta.json").exists()
+        out = tmp_path / "tiny.json"
+        assert main(["preset", "tiny", "--out", str(out), "--format", "json"]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["columns"][0] == "lambda" and len(payload["rows"]) == 2
+        assert json.loads((tmp_path / "tiny.meta.json").read_text())[
+            "config"]["format"] == "json"
 
 
 class TestRunCommand:
@@ -329,9 +335,9 @@ class TestRunCommand:
         # curve family: per lambda one uncontrolled series plus one series
         # per pulse interval, with leading lambda/delta_t columns
         out = tmp_path / "family.csv"
-        ini = FREE_INI.format(out=out).replace("epsilon = 0.0", "epsilon = 0.25")
-        ini += ("\n[schedule]\ndelta_t = 0.5\n"
-                "\n[axes]\nlambdas = 0.5, 1.0\ndelta_ts = 0.5, 1.0\n")
+        ini = (FREE_INI.format(out=out).replace("epsilon = 0.0", "epsilon = 0.25")
+               .replace("lambda = 1.0\n", ""))
+        ini += "\n[axes]\nlambdas = 0.5, 1.0\ndelta_ts = 0.5, 1.0\n"
         path = _write_config(tmp_path, ini)
         assert main(["run", "--config", str(path), "--mode", "pulsed"]) == 0
         header, rows = _read_csv(out)
@@ -344,7 +350,8 @@ class TestRunCommand:
 
     def test_family_falls_back_to_schedule_interval(self, tmp_path):
         out = tmp_path / "family.csv"
-        ini = FREE_INI.format(out=out) + "\n[axes]\nlambdas = 0.5, 1.0\n"
+        ini = (FREE_INI.format(out=out).replace("lambda = 1.0\n", "")
+               + "\n[axes]\nlambdas = 0.5, 1.0\n")
         assert main(["run", "--config", str(_write_config(tmp_path, ini)),
                      "--mode", "pulsed", "--dt", "0.5", "--epsilon", "0.25"]) == 0
         header, rows = _read_csv(out)
@@ -356,6 +363,7 @@ class TestRunCommand:
     def test_family_rows_equal_series(self, tmp_path):
         out = tmp_path / "family.csv"
         ini = (FREE_INI.format(out=out).replace("epsilon = 0.0", "epsilon = 0.25")
+               .replace("lambda = 1.0\n", "")
                + "\n[axes]\nlambdas = 0.5, 1.5\ndelta_ts = 0.3, 0.7\n")
         assert main(["run", "--config", str(_write_config(tmp_path, ini)),
                      "--mode", "pulsed"]) == 0
@@ -548,6 +556,7 @@ class TestRunCommand:
     def test_bad_window_points_is_config_error(self, tmp_path, capsys, window_points):
         out = tmp_path / "x.csv"
         ini = (SPEC_INI.format(out=out).replace("mode = free", "mode = sweep")
+               .replace("lambda = 1.0\n", "")
                + "\n[axes]\nlambdas = 1.0\ndelta_ts = 0.4\nt_star = 2.0\n"
                + f"half_width = 1.0\nwindow_points = {window_points}\n")
         assert main(["run", "--config", str(_write_config(tmp_path, ini))]) == 1
@@ -584,12 +593,68 @@ class TestRunCommand:
         assert err.startswith("config error: " + named) and "Traceback" not in err
         assert not out.exists() and not (tmp_path / "x.meta.json").exists()
 
+    @pytest.mark.parametrize("ini, argv, named", [
+        (FREE_INI + "\n[axes]\nlambdas = 0.5, 1.5\n", ["--mode", "free"],
+         "[spec] lambda is not read by mode free"),
+        (FREE_INI.replace("lambda = 1.0\n", "") + "\n[axes]\nlambdas = 0.5, 1.5\n",
+         ["--mode", "free", "--lambda", "7.0"],
+         "[spec] lambda is not read by mode free"),
+        (FREE_INI + "\n[schedule]\ndelta_t = 0.7\n\n[axes]\ndelta_ts = 0.4\n",
+         ["--mode", "pulsed"], "[schedule] delta_t is not read by mode pulsed"),
+        (FREE_INI + "\n[axes]\ndelta_ts = 0.4\n", ["--mode", "pulsed", "--dt", "0.9"],
+         "[schedule] delta_t is not read by mode pulsed"),
+    ], ids=["lambda-file", "lambda-flag", "delta_t-file", "delta_t-flag"])
+    def test_single_key_beside_its_axis_list_is_config_error(
+            self, tmp_path, capsys, ini, argv, named):
+        # the given [axes] list replaces the single key, which then could
+        # change no output
+        out = tmp_path / "x.csv"
+        path = _write_config(tmp_path, ini.format(out=out))
+        assert main(["run", "--config", str(path), *argv]) == 1
+        assert capsys.readouterr().err == f"config error: {named}\n"
+        assert not out.exists() and not (tmp_path / "x.meta.json").exists()
+
+    def test_sidecar_omits_the_single_keys_an_axis_list_replaces(self, tmp_path):
+        out = tmp_path / "family.csv"
+        ini = (FREE_INI.format(out=out).replace("lambda = 1.0\n", "")
+               + "\n[axes]\nlambdas = 0.5, 1.5\ndelta_ts = 0.4\n")
+        assert main(["run", "--config", str(_write_config(tmp_path, ini)),
+                     "--mode", "pulsed"]) == 0
+        config = json.loads((tmp_path / "family.meta.json").read_text())["config"]
+        assert "lambda" not in config["spec"] and "schedule" not in config
+        assert config["axes"] == {"lambdas": [0.5, 1.5], "delta_ts": [0.4]}
+
+    @pytest.mark.parametrize("ini, argv, named", [
+        (FREE_INI.replace("points = 11", "mode = cycles"), ["--mode", "effective"],
+         "[schedule] is missing key 'delta_t'"),
+        (SPEC_INI, ["--mode", "free"], "[grid] is missing key 't_max'"),
+    ], ids=["effective-no-schedule", "free-no-grid"])
+    def test_missing_section_names_its_first_key(self, tmp_path, capsys, ini, argv, named):
+        out = tmp_path / "x.csv"
+        path = _write_config(tmp_path, ini.format(out=out))
+        assert main(["run", "--config", str(path), *argv]) == 1
+        assert capsys.readouterr().err == f"config error: {named}\n"
+        assert not out.exists()
+
+    def test_overflowing_field_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["run", "--mode", "free", "--N", "8", "--lambda", "1",
+                     "--epsilon", "1e308", "--links", "1", "--tmax", "5",
+                     "--points", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [spec] the field 2 (J lam + |epsilon|) "
+                              "overflows") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("key", ["lambdas", "delta_ts"])
     def test_empty_axis_list_is_config_error(self, tmp_path, capsys, key):
         out = tmp_path / "x.csv"
+        # the single key that the given list replaces is left out
+        single = {"lambdas": "lambda = 1.0\n", "delta_ts": "\n[schedule]\ndelta_t = 0.4\n"}
         ini = (SPEC_INI.format(out=out).replace("mode = free", "mode = sweep")
                + "\n[schedule]\ndelta_t = 0.4\n"
-               + f"\n[axes]\n{key} =\nt_star = 2.0\nhalf_width = 1.0\n")
+               + f"\n[axes]\n{key} =\nt_star = 2.0\nhalf_width = 1.0\n"
+               ).replace(single[key], "")
         assert main(["run", "--config", str(_write_config(tmp_path, ini))]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: [axes] {key} = '': ")
@@ -613,6 +678,8 @@ class TestRunCommand:
     def test_cycle_grid_needs_one_interval(self, tmp_path, capsys, mode, extra):
         out = tmp_path / "x.csv"
         ini = FREE_INI.format(out=out).replace("points = 11", "mode = cycles") + extra
+        if "lambdas" in extra:  # the [axes] lambdas replace [spec] lambda
+            ini = ini.replace("lambda = 1.0\n", "")
         assert main(["run", "--config", str(_write_config(tmp_path, ini)),
                      "--mode", mode]) == 1
         err = capsys.readouterr().err

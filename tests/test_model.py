@@ -41,6 +41,21 @@ class TestChainSpec:
         with pytest.raises(SpecError):
             ChainSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(lam=1.0, epsilon=1e308),
+        dict(lam=1.0, epsilon=-1e308),
+        dict(lam=1e308, epsilon=1.0),
+        dict(lam=1e200, epsilon=0.0, J=1e200),
+    ], ids=["epsilon", "negative-epsilon", "lam", "J-lam"])
+    def test_overflowing_field_refused(self, kwargs):
+        # 2 (J lam + eps) overflows in the fermion chain's on-site field
+        with pytest.raises(SpecError, match="overflows"):
+            ChainSpec(N=8, links=(1,), **kwargs)
+
+    def test_largest_finite_field_accepted(self):
+        spec = ChainSpec(N=8, lam=1e307, epsilon=-1e307, links=(1,))
+        assert spec.epsilon == -1e307
+
     def test_validate_is_idempotent(self):
         spec = ChainSpec(N=8, lam=0.5, epsilon=0.25, links=[4, 2])
         assert validate(spec) == spec

@@ -250,7 +250,7 @@ class TestHeldDecomposition:
 
         monkeypatch.setattr(oracle, "build_hamiltonian", counting_build)
         monkeypatch.setattr(oracle._Spectral, "__init__", counting_init)
-        rows, _ = cli.oracle_check_suite()
+        rows = cli.oracle_check_suite()
         # a free and two pulsed rows per spec, but one decomposition
         assert len(rows) == 72
         assert len(inits) == len(set(inits)) == 24
