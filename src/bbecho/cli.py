@@ -24,6 +24,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -53,7 +54,7 @@ def _json_safe(value):
     return value
 
 
-def _write_table(path: Path, fmt: str, columns: list[str], rows: list[list]) -> None:
+def _write_table(path: Path, fmt: str, columns: list[str], rows: list[list | tuple]) -> None:
     if fmt == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_fmt(cell) for cell in row) for row in rows]
@@ -84,21 +85,14 @@ def _closed_form(config: RunConfig) -> echo.EchoSeries:
     spec, schedule = config.spec, config.schedule
     eps_eff = effective_coupling(spec.epsilon, spec.J, schedule.delta_t).eps_eff
     ts = config.grid.times(schedule)
-    return echo._series(ts, log_echo_closed_form(spec.N, eps_eff, ts).tolist(), "analytic")
+    return echo._series(ts, log_echo_closed_form(spec.N, eps_eff, ts), "analytic")
 
 
-def _table(columns: tuple[str, ...], groups) -> tuple[list[str], list[list]]:
-    """The columns and, for each (labels, records) pair of groups, one row
-    per record: the labels, then the record's fields in order."""
-    return list(columns), [[*labels, *vars(record).values()]
-                           for labels, records in groups for record in records]
+_ECHO = ["t", "le", "log_le", "kind"]
 
 
-_ECHO = ("t", "le", "log_le", "kind")
-
-
-def _echo(series: echo.EchoSeries) -> tuple[list[str], list[list]]:
-    return _table(_ECHO, [((), series.points)])
+def _echo(series: echo.EchoSeries) -> tuple[list[str], list[tuple]]:
+    return _ECHO, list(series.rows())
 
 
 def oracle_check_suite() -> list[list]:
@@ -116,7 +110,7 @@ def oracle_check_suite() -> list[list]:
                 amp = (oracle.amplitude_free(spec, ts) if dt is None else
                        oracle.amplitude_pulsed(spec, PulseSchedule(delta_t=dt), ts))
                 diff = float(np.max(np.abs(series.le - np.abs(amp) ** 2)))
-                rows.append([series.points[0].kind, n, lam, spec.epsilon, len(links), dt, diff])
+                rows.append([series.kind, n, lam, spec.epsilon, len(links), dt, diff])
     return rows
 
 
@@ -129,12 +123,14 @@ _RUNS = {
     "effective": lambda c: _echo(echo.loschmidt_effective(c.spec, c.schedule, c.grid)),
     "spinstar-analytic": lambda c: _echo(_closed_form(c)),
     # per lambda the uncontrolled series, then one pulsed series per interval
-    "family": lambda c: _table(("lambda", "delta_t") + _ECHO, (
-        ((lam, dt), series.points) for lam, dt, series in echo.family(
-            c.spec, c.axes.lambdas, c.axes.delta_ts or (), c.grid.times()))),
+    "family": lambda c: (["lambda", "delta_t", *_ECHO], [
+        (lam, dt, *row) for lam, dt, series in echo.family(
+            c.spec, c.axes.lambdas, c.axes.delta_ts or (), c.grid.times())
+        for row in series.rows()]),
     # the [axes] fields are the keyword arguments of echo.sweep
-    "sweep": lambda c: _table(("lambda", "delta_t", "le_pulsed", "le_free", "ratio"),
-                              [((), echo.sweep(c.spec, **vars(c.axes)))]),
+    "sweep": lambda c: (["lambda", "delta_t", "le_pulsed", "le_free", "ratio"],
+                        [list(vars(row).values())
+                         for row in echo.sweep(c.spec, **vars(c.axes))]),
     "oracle-check": lambda c: (["check", "N", "lambda", "epsilon", "m", "delta_t",
                                 "max_abs_diff"], oracle_check_suite()),
 }
@@ -186,7 +182,17 @@ def _calibrate() -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, the configuration-error code; argparse's own 2
-    is bbecho's code for a numerical failure."""
+    is bbecho's code for a numerical failure.
+
+    A word that starts with a minus and a digit, or a minus, a dot and a
+    digit, is a value, not an option: argparse alone reads -1e-3 as an
+    option, and no bbecho flag has that shape. argparse sets this matcher
+    per instance, so it is set here and not on the class.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

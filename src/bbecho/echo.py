@@ -8,6 +8,9 @@ other spec takes the determinant route below, as do the effective theory
 and the convention calibration for every spec. Both routes work in the
 calibrated antiperiodic fermion sector; the sector is not a field of the
 spec, and only the calibration passes another one, to _BranchData.
+Every route ends in _series, which makes log L at the times one
+EchoSeries: the columns times, le and log_le, and one kind; no per-point
+object is built on a run.
 
 On the determinant route every echo point is a determinant over the
 occupied subspace, |det(W^H S W)| for the propagator string S, with W
@@ -42,7 +45,9 @@ With Q the filled rows of K, a free point is
 
 two real products and one LU of the filled size.
 
-Time t under a pulse train with interval dt decomposes as t = 2 M dt + t_res;
+Time t under a pulse train with interval dt decomposes as t = 2 M dt + t_res,
+split by PulseSchedule.split on all three routes (determinant, momentum
+and oracle), which also refuses a pulsed series at descending times;
 the propagator string is, with F = e^{+iC_down dt} e^{+iC_up dt} and
 B = conj(F),
 
@@ -121,21 +126,30 @@ class EchoPoint:
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EchoSeries:
-    points: tuple[EchoPoint, ...]
+    """One echo series as columns: the float arrays times, le and log_le,
+    one entry per point, and the kind of the whole series ("free",
+    "pulsed", "effective" or "analytic"). le is math.exp(log_le), and 0.0
+    where log_le <= -745, derived once by _series, which builds every
+    series; log_le stays finite where le underflows.
+    """
+
+    times: np.ndarray
+    le: np.ndarray
+    log_le: np.ndarray
+    kind: str
+
+    def rows(self) -> Iterator[tuple[float, float, float, str]]:
+        """(t, le, log_le, kind) at each point, the numbers as Python floats:
+        an np.float64 would print as np.float64(...) in a table cell."""
+        return zip(self.times.tolist(), self.le.tolist(), self.log_le.tolist(),
+                   [self.kind] * len(self.times))
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
-    @property
-    def le(self) -> np.ndarray:
-        return np.array([p.le for p in self.points])
-
-    @property
-    def log_le(self) -> np.ndarray:
-        return np.array([p.log_le for p in self.points])
+    def points(self) -> tuple[EchoPoint, ...]:
+        """The series as one EchoPoint per time, built at each access."""
+        return tuple(EchoPoint(*row) for row in self.rows())
 
 
 def _sector(spec: ChainSpec, boundary_sign: int) -> tuple[np.ndarray, int]:
@@ -232,20 +246,20 @@ def _log_det(m: np.ndarray) -> float:
 
 
 def _series(ts: np.ndarray, log_dets: Sequence[float], kind: str) -> EchoSeries:
-    """Echo points from log L; t = 0 is exactly one on every route.
+    """The echo series of log L at the times ts; t = 0 is exactly one on
+    every route.
 
     Raises FloatingPointError where log L is NaN or +inf, which no echo
     is; -inf, an echo of exactly zero, is kept.
     """
-    points = []
-    for t, log_le in zip(ts, log_dets):
-        if t == 0.0:
-            log_le = 0.0
-        if not log_le < math.inf:
-            raise FloatingPointError(f"echo at t = {float(t)!r} has log L = {log_le}")
-        value = math.exp(log_le) if log_le > -745.0 else 0.0
-        points.append(EchoPoint(t=float(t), le=value, log_le=log_le, kind=kind))
-    return EchoSeries(points=tuple(points))
+    ts = np.asarray(ts, dtype=float)
+    log_le = np.where(ts == 0.0, 0.0, log_dets)
+    for t, x in zip(ts.tolist(), log_le.tolist()):
+        if not x < math.inf:
+            raise FloatingPointError(f"echo at t = {t!r} has log L = {x}")
+    # math.exp, not np.exp, which differs in the last bit on some points
+    le = [math.exp(x) if x > -745.0 else 0.0 for x in log_le.tolist()]
+    return EchoSeries(times=ts, le=np.array(le), log_le=log_le, kind=kind)
 
 
 def _free_log_dets(data: _BranchData, ts: np.ndarray) -> list[float]:
@@ -262,15 +276,15 @@ class _PulseTrain:
     It holds the occupied rows R^T at the current cycle count m, the
     ladder of held powers (G^T)^(2^j) of the cycle
     G^T = K^T E_up(dt) K E_down(dt), and the residual factor that depends
-    on m and the branch alone, with its key (m, branch); a series at
-    ascending times asks for each key in one run. Each held power gets one
-    Newton-Schulz step, so rounding in K and in the squarings does not
-    build up into a drift of the echo over long trains, and so do the rows
-    after every jump: without it their Gram matrix drifted by about 1e-15
-    per product, 2e-13 after 248 one-cycle jumps at N = 100, which moved
-    log L by 1.6e-12. The ladder grows
-    only as far as the largest jump asks, so a series whose rows reach M
-    cycles holds at most M.bit_length() matrices.
+    on m and the side of the mid-cycle pulse alone, with its key
+    (m, first); a series at ascending times asks for each key in one run.
+    Each held power gets one Newton-Schulz step, so rounding in K and in
+    the squarings does not build up into a drift of the echo over long
+    trains, and so do the rows after every jump: without it their Gram
+    matrix drifted by about 1e-15 per product, 2e-13 after 248 one-cycle
+    jumps at N = 100, which moved log L by 1.6e-12. The ladder grows only
+    as far as the largest jump asks, so a series whose rows reach M cycles
+    holds at most M.bit_length() matrices.
 
     K multiplies the rows, and the cycle, as one real product on their
     float64 view (_real_times); the rows are kept C-ordered so that the
@@ -305,20 +319,20 @@ class _PulseTrain:
         return _real_times(self.data.k,
                            np.exp(1j * self.data.e_down * x)[:, None] * self.rows)
 
-    def log_det(self, t_res: float, branch: int) -> float:
-        """log L of F^M mid B^M at t = 2 M dt + t_res, M = self.m.
+    def log_det(self, t_res: float, first: bool) -> float:
+        """log L of F^M mid B^M at t = 2 M dt + t_res, M = self.m, with
+        first as PulseSchedule.split gives it: t_res < dt.
 
         It is power times log|det(b^T E_up(alpha) a)|, with
         b = K E_down(x) R^T and a = conj(K E_down(y) R^T) for
-        (x, alpha, y) = (t_res, dt - t_res, 0) in branch 1, before the
-        mid-cycle pulse, and (dt, t_res - dt, t_res - dt) in branch 2,
-        after it. The factor with y = 0 or x = dt depends on M alone and
-        is held.
+        (x, alpha, y) = (t_res, dt - t_res, 0) when first, before the
+        mid-cycle pulse, and (dt, t_res - dt, t_res - dt) after it. The
+        factor with y = 0 or x = dt depends on M alone and is held.
         """
-        dt, first = self.dt, branch == 1
+        dt = self.dt
         x, alpha, y = (t_res, dt - t_res, 0.0) if first else (dt, t_res - dt, t_res - dt)
-        if self.held[0] != (self.m, branch):
-            self.held = ((self.m, branch),
+        if self.held[0] != (self.m, first):
+            self.held = ((self.m, first),
                          self._k_rows(y).conj() if first else self._k_rows(x))
         fixed = self.held[1]
         a, b = (fixed, self._k_rows(x)) if first else (self._k_rows(y).conj(), fixed)
@@ -328,15 +342,12 @@ class _PulseTrain:
 
 def _pulsed_log_dets(data: _BranchData, dt: float, ts: np.ndarray) -> list[float]:
     """log L of the pulsed string at ascending times; rows jump by whole cycles."""
-    if np.any(np.diff(ts) < 0):
-        raise SpecError("pulsed series needs ascending times")
-    cycles = PulseSchedule(dt).cycles(ts)
+    cycles, residuals, firsts = PulseSchedule(dt).split(ts)
     train = _PulseTrain(data, dt)
     log_dets = []
-    for t, m in zip(ts, cycles):
+    for m, t_res, first in zip(cycles.tolist(), residuals.tolist(), firsts.tolist()):
         train.advance(int(m))
-        t_res = t - 2.0 * m * dt
-        log_dets.append(train.log_det(t_res, 1 if t_res < dt else 2))
+        log_dets.append(train.log_det(t_res, first))
     return log_dets
 
 
@@ -348,14 +359,14 @@ def route(spec: ChainSpec) -> str:
     return "determinant"
 
 
-def _log_dets(spec: ChainSpec) -> Callable[..., list[float]]:
+def _log_dets(spec: ChainSpec) -> Callable[..., np.ndarray | list[float]]:
     """log L at times ts on spec's route, as f(ts) free or f(ts, dt) pulsed.
 
     On the determinant route log L is log|det|: the calibrated determinant
     exponent is 1 (conventions.DET_EXPONENT).
     """
     if route(spec) == "momentum":
-        return lambda ts, dt=None: spinstar.log_echo(spec, ts, dt).tolist()
+        return lambda ts, dt=None: spinstar.log_echo(spec, ts, dt)
     data = _BranchData(spec)
     return lambda ts, dt=None: (_free_log_dets(data, ts) if dt is None
                                 else _pulsed_log_dets(data, dt, ts))

@@ -181,6 +181,21 @@ class PulseSchedule:
         """
         return _whole_cycles(ts, self.delta_t, 1e-12)
 
+    def split(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(M, t_res, first) at each of the ascending times ts, as arrays:
+        t = 2 M delta_t + t_res with M = cycles(ts), and first where
+        t_res < delta_t, before the mid-cycle pulse.
+
+        A pulsed series carries its state from point to point, so this
+        raises SpecError where ts descend, and where cycles raises.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if np.any(np.diff(ts) < 0):
+            raise SpecError("pulsed series needs ascending times")
+        m = self.cycles(ts)
+        t_res = ts - 2.0 * m * self.delta_t
+        return m, t_res, t_res < self.delta_t
+
 
 @dataclass(frozen=True)
 class TimeGrid:

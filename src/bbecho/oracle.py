@@ -185,29 +185,24 @@ def amplitude_pulsed(spec: ChainSpec, schedule: PulseSchedule, ts) -> np.ndarray
     full flip cycle the up branch picks up e^{-iH_down dt} e^{-iH_up dt}
     and the down branch the reversed pair; in the residual the branch
     that has been flipped mid-cycle finishes under the other Hamiltonian.
-    ts must be sorted ascending (the cycle states advance incrementally).
     """
     sp = _spectral(spec)
     dt = schedule.delta_t
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(np.diff(ts) < 0):
-        raise SpecError("amplitude_pulsed needs ascending times")
-    out = np.empty(ts.size, dtype=complex)
+    cycles, residuals, firsts = schedule.split(np.atleast_1d(ts))
+    out = np.empty(cycles.size, dtype=complex)
     phi0 = phi1 = sp.g
     m_cur = 0
-    for i, (t, m) in enumerate(zip(ts, schedule.cycles(ts))):
+    for i, (m, t_res, first) in enumerate(zip(cycles, residuals, firsts)):
         while m_cur < m:
             phi0 = sp.evolve("down", dt, sp.evolve("up", dt, phi0))
             phi1 = sp.evolve("up", dt, sp.evolve("down", dt, phi1))
             m_cur += 1
-        t_res = t - 2.0 * m * dt
-        if t_res < dt:
+        if first:
             a = sp.evolve("up", t_res, phi0)
             b = sp.evolve("down", t_res, phi1)
         else:
-            s = t_res - dt
-            a = sp.evolve("down", s, sp.evolve("up", dt, phi0))
-            b = sp.evolve("up", s, sp.evolve("down", dt, phi1))
+            a = sp.evolve("down", t_res - dt, sp.evolve("up", dt, phi0))
+            b = sp.evolve("up", t_res - dt, sp.evolve("down", dt, phi1))
         out[i] = np.vdot(a, b)
     return out
 

@@ -191,24 +191,25 @@ def log_echo(spec: ChainSpec, ts, delta_t: float | None = None) -> np.ndarray:
     The echo is prod_q |<g_q| a_q^dag b_q |g_q>|^2, g_q the lower
     eigenvector of the up h_q and a_q, b_q the two branch strings of
     oracle.amplitude_pulsed for that mode. The M cycles of a pulse train
-    are one closed-form SU(2) power, so a point costs O(N) whatever M is,
-    and the times need no order.
+    are one closed-form SU(2) power, so a point costs O(N) whatever M is.
+    A pulsed series needs ascending times (PulseSchedule.split), as on
+    the other routes.
     """
     if not spec.is_spin_star:
         raise SpecError(f"log_echo needs a spin-star spec, got links={spec.links}")
     hz_up, hz_down, hy = _pair_fields(spec)
-    t = np.asarray(ts, dtype=float)[:, None]
     if delta_t is None:
+        t = np.asarray(ts, dtype=float)[:, None]
         x = _mul(_dagger(_evolve(hz_up, hy, t)), _evolve(hz_down, hy, t))
     else:
         dt = float(delta_t)
-        m = PulseSchedule(dt).cycles(t)
+        # split the 1-D times: on a column the ascending check would see no step
+        m, t_res, first = (v[:, None] for v in PulseSchedule(dt).split(ts))
         up, down = _evolve(hz_up, hy, dt), _evolve(hz_down, hy, dt)
-        s = t - 2.0 * m * dt - dt
-        # after M cycles, with s = t_res - dt: for t_res < dt the branches
+        s = t_res - dt
+        # after M cycles: for t_res < dt the branches
         # finish as U_up(t_res) = U_up(s) U_up(dt) and U_down(s) U_down(dt),
         # otherwise as U_down(s) U_up(dt) and U_up(s) U_down(dt)
-        first = s < 0.0
         a = _mul(_evolve(np.where(first, hz_up, hz_down), hy, s), up)
         b = _mul(_evolve(np.where(first, hz_down, hz_up), hy, s), down)
         a = _mul(a, _power(_mul(down, up), m))

@@ -244,8 +244,8 @@ def test_10_invariant_fuzzer():
 
             data = echo._BranchData(spec)
             train = echo._PulseTrain(data, dt)
-            le1 = np.exp(train.log_det(dt, 1))
-            le2 = np.exp(train.log_det(dt, 2))
+            le1 = np.exp(train.log_det(dt, True))
+            le2 = np.exp(train.log_det(dt, False))
             assert abs(le1 - le2) <= 1e-9
 
         from dataclasses import replace

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -389,6 +390,58 @@ class TestRunCommand:
         payload = json.loads(out.read_text())
         assert payload["columns"] == ["t", "le", "log_le", "kind"]
         assert len(payload["rows"]) == 11
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-.5e-1"])
+    def test_negative_flag_value_in_exponent_form(self, tmp_path, value):
+        # argparse alone takes -1e-3 for an option, not for the value of --epsilon
+        argv = ["run", "--mode", "free", "--N", "8", "--lambda", "1.0", "--links", "1",
+                *GRID_FLAGS]
+        apart, joined = tmp_path / "apart.csv", tmp_path / "joined.csv"
+        assert main([*argv, "--epsilon", value, "--out", str(apart)]) == 0
+        assert main([*argv, f"--epsilon={value}", "--out", str(joined)]) == 0
+        assert apart.read_bytes() == joined.read_bytes()
+        sidecar = json.loads((tmp_path / "apart.meta.json").read_text())
+        assert sidecar["config"]["spec"]["epsilon"] == float(value)
+
+    @pytest.mark.parametrize("mode, links", [
+        ("free", "1"), ("free", "all"), ("pulsed", "1"), ("pulsed", "all"),
+        ("effective", "1"), ("effective", "all"), ("spinstar-analytic", "all"),
+        ("family", "1"), ("family", "all"), ("sweep", "1"), ("sweep", "all"),
+    ])
+    def test_cells_are_plain_floats_and_le_is_exp_of_log_le(self, tmp_path, mode, links):
+        # an np.float64 cell would print as np.float64(...), and np.exp
+        # differs from math.exp in the last bit on some points
+        out = tmp_path / "x.csv"
+        spec = ["--N", "8", "--epsilon", "0.25", "--links", links]
+        grid = ["--tmax", "10.0", "--points", "41"]
+        axes = "\n[axes]\nlambdas = 0.5, 1.0\ndelta_ts = 0.3, 0.7\n"
+        inis = {"effective": CYCLES_INI.format(out=out),
+                "family": FREE_INI.format(out=out).replace("lambda = 1.0\n", "") + axes,
+                "sweep": (SPEC_INI.format(out=out).replace("lambda = 1.0\n", "") + axes
+                          + "t_star = 2.0\nhalf_width = 1.0\n")}
+        argv = {
+            "free": ["--mode", "free", "--lambda", "1.0", *spec, *grid],
+            "pulsed": ["--mode", "pulsed", "--lambda", "1.0", *spec, *grid, "--dt", "0.3"],
+            "effective": ["--mode", "effective", *spec],
+            "spinstar-analytic": ["--mode", "spinstar-analytic", *spec, *grid, "--dt", "0.3"],
+            "family": ["--mode", "pulsed", *spec, *grid],
+            "sweep": ["--mode", "sweep", *spec],
+        }[mode]
+        if mode in inis:
+            argv += ["--config", str(_write_config(tmp_path, inis[mode]))]
+        assert main(["run", *argv, "--out", str(out)]) == 0
+        assert "np.float64(" not in out.read_text(encoding="utf-8")
+        header, rows = _read_csv(out)
+        assert len(rows) > 1
+        for row in rows:
+            cells = dict(zip(header, row))
+            for column, cell in cells.items():
+                if column != "kind" and not (cell == "" and column in ("delta_t", "ratio")):
+                    float(cell)
+            if "log_le" in cells:
+                log_le = float(cells["log_le"])
+                expected = math.exp(log_le) if log_le > -745.0 else 0.0
+                assert float(cells["le"]) == expected
 
     def test_missing_spec_is_config_error(self, capsys):
         assert main(["run", "--mode", "free"]) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bbecho import echo, oracle, spinstar
-from bbecho.echo import (EchoPoint, EchoSeries, coherence_offdiagonal,
+from bbecho.echo import (EchoSeries, coherence_offdiagonal,
                          effective_bdg, loschmidt_effective, loschmidt_free,
                          loschmidt_pulsed, sweep, time_average)
 from bbecho.freefermion import (SpectralDecomp, build_bdg, diagonalize,
@@ -88,12 +88,18 @@ class TestLoschmidtPulsed:
         with pytest.raises(SpecError, match="ascending"):
             list(echo.family(_spec(N=6), (1.0,), (0.3,), [1.0, 0.5]))
 
+    def test_descending_times_rejected_on_the_momentum_route(self):
+        spec = ChainSpec.spin_star(6, 1.0, 0.25)
+        assert echo.route(spec) == "momentum"
+        with pytest.raises(SpecError, match="ascending"):
+            list(echo.family(spec, (1.0,), (0.3,), [1.0, 0.5]))
+
     def test_branch_formulas_agree_at_boundary(self):
         data = echo._BranchData(_spec(N=6))
         dt = 0.4
         train = echo._PulseTrain(data, dt)
-        le1 = np.exp(train.log_det(dt, 1))
-        le2 = np.exp(train.log_det(dt, 2))
+        le1 = np.exp(train.log_det(dt, True))
+        le2 = np.exp(train.log_det(dt, False))
         assert abs(le1 - le2) <= 1e-9
 
     def test_continuous_across_cycle_boundary(self):
@@ -592,9 +598,9 @@ class TestCoherence:
 
 class TestTimeAverage:
     def _constant_series(self, value=0.7):
-        points = tuple(EchoPoint(t=float(t), le=value, log_le=np.log(value), kind="free")
-                       for t in np.linspace(0, 10, 21))
-        return EchoSeries(points=points)
+        ts = np.linspace(0, 10, 21)
+        return EchoSeries(times=ts, le=np.full(ts.size, value),
+                          log_le=np.full(ts.size, np.log(value)), kind="free")
 
     def test_constant_series(self):
         series = self._constant_series(0.7)

@@ -124,6 +124,18 @@ class TestPulseSchedule:
         with pytest.raises(SpecError, match=r"delta_t = 1e-320 .* at t = 0\.5 overflows"):
             PulseSchedule(delta_t=1e-320).cycles([0.0, 0.5, 1.0])
 
+    def test_split_at_cycle_ends_and_mid_cycle_pulses(self):
+        # t = 2 M dt is the start of cycle M, before its mid-cycle pulse;
+        # t = (2 M + 1) dt is that pulse, after which first is False
+        m, t_res, first = PulseSchedule(delta_t=0.25).split([0.0, 1.5, 1.75, 1.8])
+        np.testing.assert_array_equal(m, [0.0, 3.0, 3.0, 3.0])
+        np.testing.assert_array_equal(t_res, [0.0, 0.0, 0.25, 1.8 - 1.5])
+        np.testing.assert_array_equal(first, [True, True, False, False])
+
+    def test_split_refuses_descending_times(self):
+        with pytest.raises(SpecError, match="pulsed series needs ascending times"):
+            PulseSchedule(delta_t=0.25).split([0.0, 1.0, 0.5])
+
 
 class TestTimeGrid:
     def test_uniform_starts_at_zero_strictly_increasing(self):
