@@ -181,27 +181,21 @@ def _sector(spec: ChainSpec, boundary_sign: int) -> tuple[np.ndarray, int]:
 
 
 def _modes(spec: ChainSpec, boundary_sign: int):
-    """Sector spectrum of the up branch, as (e, X, V, power): the ascending
-    eigenvalues e and eigenvectors X of V^T C V, with V and power from
-    _sector.
+    """Sector spectrum of the up branch, as (e, X, V, power, filled): the
+    ascending eigenvalues e and eigenvectors X of V^T C V, with V and power
+    from _sector, and the number of filled modes, the first columns of X.
 
     Raises SpecError for odd N, where the calibrated antiperiodic sector
     misses the oracle echo (by 8e-4 to 5e-2 at N = 3, 5, 7, one link,
-    Jt <= 10). The up modes are filled, so it raises
-    DegenerateFillingError when the filled sea is ambiguous: a mode energy
-    below half the 1e-12 gap that freefermion.ground_correlation asks of
-    the 2N spectrum, which is the sector spectrum and its negative.
+    Jt <= 10). The filled modes are the negative ones, counted by
+    freefermion.filled_count, which raises DegenerateFillingError where
+    that choice is ambiguous.
     """
     if spec.N % 2:
         raise SpecError(f"the determinant echo needs even N, got N={spec.N}")
     v, power = _sector(spec, boundary_sign)
     e, x = np.linalg.eigh(v.T @ freefermion.build_bdg(spec, "up", boundary_sign).C @ v)
-    gap = float(np.min(np.abs(e)))
-    if 2.0 * gap < 1e-12:
-        raise freefermion.DegenerateFillingError(
-            f"filling boundary degenerate: mode energies +-{gap!r} "
-            "at the Fermi level")
-    return e, x, v, power
+    return e, x, v, power, freefermion.filled_count(e)
 
 
 def _unitarized(x: np.ndarray) -> np.ndarray:
@@ -233,10 +227,9 @@ class _BranchData:
     """
 
     def __init__(self, spec: ChainSpec, boundary_sign: int = BOUNDARY_SIGN):
-        self.e_up, x_up, v, self.power = _modes(spec, boundary_sign)
+        self.e_up, x_up, v, self.power, self.filled = _modes(spec, boundary_sign)
         c_down = freefermion.build_bdg(spec, "down", boundary_sign).C
         self.e_down, x_down = np.linalg.eigh(v.T @ c_down @ v)
-        self.filled = int(np.count_nonzero(self.e_up < 0))
         self.k = _unitarized(x_up.T @ x_down)
 
 
@@ -416,10 +409,10 @@ def loschmidt_effective(spec: ChainSpec, schedule: PulseSchedule,
     """
     if grid.mode != "cycles":
         raise SpecError("loschmidt_effective needs a cycle-aligned grid")
-    e, x, v, power = _modes(spec, BOUNDARY_SIGN)
+    _, x, v, power, filled = _modes(spec, BOUNDARY_SIGN)
     gen = effective_bdg(spec, schedule)
     evals, vecs = np.linalg.eigh(v.T @ gen.C @ v)
-    left = x[:, e < 0].T @ vecs
+    left = x[:, :filled].T @ vecs
     right = left.conj().T
     ts = grid.times(schedule)
     log_dets = [power * _log_det((left * np.exp(1j * evals * t)) @ right) for t in ts]
@@ -437,16 +430,22 @@ def coherence_offdiagonal(qubit: QubitSpec, d_complex: complex, t: float) -> com
 
 
 def time_average(series: EchoSeries, center: float, half_width: float) -> float:
-    """Mean echo over grid points in the closed window [center-w, center+w]."""
+    """Mean echo over grid points in the closed window [center-w, center+w].
+
+    The window's edges may pass the grid's span, and a grid point may lie
+    outside the window, by a slack of 1e-12 times the grid's largest |t|:
+    the rounding of times computed on the grid, and in no unit of time.
+    """
     if half_width < 0:
         raise SpecError(f"half_width must be nonnegative, got {half_width}")
     ts = series.times
-    if center - half_width < ts[0] - 1e-9 or center + half_width > ts[-1] + 1e-9:
+    slack = 1e-12 * max(abs(ts[0]), abs(ts[-1]))
+    if center - half_width < ts[0] - slack or center + half_width > ts[-1] + slack:
         raise SpecError(
             f"window [{center - half_width}, {center + half_width}] not inside "
             f"grid span [{ts[0]}, {ts[-1]}]"
         )
-    mask = np.abs(ts - center) <= half_width + 1e-12
+    mask = np.abs(ts - center) <= half_width + slack
     if not np.any(mask):
         raise SpecError("no grid points inside the averaging window")
     return float(np.mean(series.le[mask]))

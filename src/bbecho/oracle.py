@@ -105,10 +105,13 @@ def build_hamiltonian(spec: ChainSpec, branch: str) -> DenseOperator:
 
 
 def _check_gap(evals: np.ndarray) -> None:
-    if evals.size > 1 and abs(evals[1] - evals[0]) < 1e-12:
-        raise DegenerateGroundStateError(
-            f"ground state degenerate: E0={evals[0]!r}, E1={evals[1]!r}"
-        )
+    """Raises DegenerateGroundStateError where the ground level, the one
+    filled level of the ascending many-body spectrum evals, is not
+    resolved from the next by the rule of freefermion.filled_count."""
+    try:
+        freefermion.filled_count(evals, 1)
+    except freefermion.DegenerateFillingError as exc:
+        raise DegenerateGroundStateError(f"ground state degenerate: {exc}") from None
 
 
 def ground_state(h: DenseOperator) -> GroundState:

@@ -191,6 +191,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 0
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("mode", ["free", "pulsed"])
+    def test_energy_unit_does_not_change_the_echo(self, tmp_path, mode):
+        # J = 2^-44 with epsilon, delta_t and t_max scaled to match: the run
+        # exited 2 while the degeneracy guards held the mode energies, about
+        # 1e-14 here, to an absolute bar
+        columns = []
+        for c in (1.0, 2.0 ** -44):
+            out = tmp_path / f"{mode}-{c!r}.csv"
+            ini = (f"[run]\nmode = {mode}\nout = {out}\n"
+                   f"[spec]\nN = 8\nlambda = 1.0\nepsilon = {0.25 * c!r}\n"
+                   f"links = 1\nJ = {c!r}\n"
+                   f"[grid]\nt_max = {5.0 / c!r}\npoints = 11\n")
+            if mode == "pulsed":
+                ini += f"[schedule]\ndelta_t = {0.25 / c!r}\n"
+            assert main(["run", "--config", str(_write_config(tmp_path, ini))]) == 0
+            columns.append([row[1:] for row in _read_csv(out)[1]])
+        assert columns[0] == columns[1]
+
     def test_repeated_calls_in_one_process_match_fresh_processes(
             self, tmp_path, monkeypatch, capsys):
         # main reuses one parser within a process; no flag of one call may

@@ -616,6 +616,15 @@ class TestTimeAverage:
         with pytest.raises(SpecError, match="span"):
             time_average(series, 9.0, 2.0)
 
+    @pytest.mark.parametrize("c", [1.0, 1e6])
+    def test_overshoot_refused_in_any_time_unit(self, c):
+        # the window passes the grid's end by 5e-5 of its span; in units
+        # of 1/c that is 5e-10, which an absolute slack of 1e-9 let pass
+        ts = np.linspace(0, 10, 21) / c
+        series = EchoSeries(times=ts, le=np.ones(21), log_le=np.zeros(21), kind="free")
+        assert time_average(series, 9.0 / c, 1.0 / c) == 1.0
+        with pytest.raises(SpecError, match="span"):
+            time_average(series, 9.0 / c, 1.0005 / c)
 
     def test_negative_half_width_rejected(self):
         with pytest.raises(SpecError, match="half_width must be nonnegative"):
@@ -658,6 +667,22 @@ class TestSweep:
         with pytest.raises(SpecError, match=message):
             sweep(_spec(), lambdas=[1.0], delta_ts=[0.4], t_star=t_star,
                   half_width=half_width)
+
+    def test_window_keeps_every_point_in_any_time_unit(self):
+        # at Jt* = 25 in units of 1/J with J = 3e-7, t is about 1e8, and the
+        # rounding of the window's times passed an absolute slack of 1e-12:
+        # two of the 101 points fell out of the average
+        c = 3e-7
+        spec = ChainSpec(N=8, lam=1.0, epsilon=0.25 * c, links=(1,), J=c)
+        row, = sweep(spec, lambdas=[1.0], delta_ts=[0.3 / c], t_star=25 / c,
+                     half_width=5 / c)
+        window = np.linspace(25 / c - 5 / c, 25 / c + 5 / c, 101)
+        series = [s for _, _, s in echo.family(spec, [1.0], [0.3 / c], window)]
+        assert row.le_free == np.mean(series[0].le)
+        assert row.le_pulsed == np.mean(series[1].le)
+        unit, = sweep(_spec(N=8), lambdas=[1.0], delta_ts=[0.3], t_star=25.0,
+                      half_width=5.0)
+        assert row.le_pulsed == pytest.approx(unit.le_pulsed, abs=1e-12)
 
     @pytest.mark.parametrize("window_points", [-5, 0, 1])
     def test_window_needs_two_points(self, window_points):

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bbecho import oracle
 from bbecho.conventions import BOUNDARY_SIGN
-from bbecho.freefermion import (BdGMatrix, DegenerateFillingError, build_bdg,
-                                diagonalize, gaussian_overlap,
+from bbecho.freefermion import (GAP_RTOL, BdGMatrix, DegenerateFillingError,
+                                build_bdg, diagonalize, filled_count, gaussian_overlap,
                                 ground_correlation, ground_energy, propagator)
 from bbecho.model import ChainSpec, SpecError
 
@@ -13,7 +15,44 @@ def _spec(N=6, lam=1.0, epsilon=0.25, links=(1,), **kw):
     return ChainSpec(N=N, lam=lam, epsilon=epsilon, links=links, **kw)
 
 
+def _bdg_by_bonds(spec, branch, boundary_sign):
+    """A and B bond by bond: the reference for build_bdg's index form."""
+    N, J = spec.N, spec.J
+    eps_site = np.zeros(N)
+    if branch == "down":
+        for j in spec.links:
+            eps_site[j - 1] = spec.epsilon
+    A = np.zeros((N, N))
+    B = np.zeros((N, N))
+    A[np.arange(N), np.arange(N)] = -2.0 * (J * spec.lam + eps_site)
+    for j in range(N - 1):
+        A[j, j + 1] += -J
+        A[j + 1, j] += -J
+        B[j, j + 1] += -J
+        B[j + 1, j] += +J
+    bs = float(boundary_sign)
+    A[N - 1, 0] += bs * (-J)
+    A[0, N - 1] += bs * (-J)
+    B[N - 1, 0] += bs * (-J)
+    B[0, N - 1] += bs * (+J)
+    return A, B
+
+
 class TestBuildBdg:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_same_bits_as_the_bond_loop(self, n):
+        # signed zeros too: a zero field gives -0.0 on the diagonal, and
+        # every entry off the bonds stays +0.0; at N = 2 the boundary bond
+        # doubles the bulk one
+        for spec in (_spec(N=n, lam=0.0, epsilon=0.0),
+                     _spec(N=n, lam=0.7, epsilon=-0.3, links=(1, n), J=1.7)):
+            for branch, sign in itertools.product(("up", "down"), (-1, 1)):
+                m = build_bdg(spec, branch, boundary_sign=sign)
+                for got, want in zip((m.A, m.B), _bdg_by_bonds(spec, branch, sign)):
+                    np.testing.assert_array_equal(got, want)
+                    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+                np.testing.assert_array_equal(m.C, np.block([[m.A, m.B], [-m.B, -m.A]]))
+
     def test_up_branch_diagonal(self):
         # eps_j vanishes on the unperturbed branch: every diagonal is -2*lam*J
         spec = _spec(N=8, lam=0.7, epsilon=0.25, links=(3, 5))
@@ -99,6 +138,23 @@ class TestDiagonalize:
         q = (2 * np.arange(n) + 1) * np.pi / n
         expected = 2.0 * np.sqrt((lam - np.cos(q)) ** 2 + np.sin(q) ** 2)
         np.testing.assert_allclose(np.sort(e[n:]), np.sort(expected), atol=1e-8)
+
+
+class TestFilledCount:
+    def test_negative_levels_or_the_n_lowest(self):
+        e = np.array([-3.0, -1.0, 2.0, 4.0])
+        assert filled_count(e) == 2
+        assert filled_count(e, 1) == 1
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30])
+    def test_gap_measured_against_the_largest_level(self, scale):
+        # twice the smallest |e| against GAP_RTOL times the largest
+        resolved = scale * np.array([-1.0, -0.6 * GAP_RTOL, 0.6 * GAP_RTOL, 1.0])
+        assert filled_count(resolved) == 2
+        with pytest.raises(DegenerateFillingError, match="filling boundary degenerate"):
+            filled_count(resolved * np.array([1.0, 0.5, 0.5, 1.0]))
+        with pytest.raises(DegenerateFillingError):
+            filled_count(scale * np.array([-1.0, -1.0 + 0.4 * GAP_RTOL, 2.0]), 1)
 
 
 class TestGroundCorrelation:

@@ -131,6 +131,24 @@ class TestGroundState:
         with pytest.raises(DegenerateGroundStateError):
             ground_state(build_hamiltonian(spec, "up"))
 
+    @pytest.mark.parametrize("J", [1.0, 1000.0])
+    def test_rounding_gap_refused_at_any_coupling(self, J):
+        # lam = 1e-3: the two ordered states are split by about 1e-21 J, so
+        # the computed gap, 5.5e-12 at J = 1000, is rounding (7e-16 of the
+        # largest level); an absolute bar accepted it, and the oracle echo
+        # then missed the determinant echo by 2.5e-7
+        spec = ChainSpec(N=8, lam=1e-3, epsilon=3.0, links=(1,), J=J)
+        with pytest.raises(DegenerateGroundStateError, match="ground state degenerate"):
+            amplitude_free(spec, [1.0])
+
+    def test_gap_that_mixes_the_ground_vector_refused(self):
+        # a gap of 2.1e-13 of the largest level, 1.3e-12: the ground vector
+        # mixes with the next level's by about u ||H|| / gap, and the oracle
+        # echo missed the momentum echo by 1.8e-7 at Jt <= 50
+        spec = ChainSpec.spin_star(N=6, lam=0.01169, epsilon=2.0)
+        with pytest.raises(DegenerateGroundStateError):
+            amplitude_free(spec, [1.0])
+
     def test_strong_field_approaches_product_state(self):
         # perturbative oracle: infidelity ~ N / (16 lam^2) from the N
         # two-spin-flip states at gap 4 J lam with amplitude 1/(4 lam)
@@ -347,8 +365,8 @@ class TestCalibrateConventions:
         assert result.residuals[(1, 1)] == result.residuals[(1, 2)] == math.inf
 
     def test_periodic_sector_refused_by_the_filling_guard(self):
-        # at lam = 1 the +1 sector has an exact zero mode: the smallest
-        # singular value of A + B is below half the 1e-12 gap threshold
+        # at lam = 1 the +1 sector has an exact zero mode: twice the
+        # smallest |mode energy| is below freefermion.GAP_RTOL times the largest
         spec = default_calibration_specs()[2]
         assert spec.lam == 1.0
         with pytest.raises(freefermion.DegenerateFillingError,
