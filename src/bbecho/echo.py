@@ -8,6 +8,11 @@ other spec takes the determinant route below, as do the effective theory
 and the convention calibration for every spec. Both routes work in the
 calibrated antiperiodic fermion sector; the sector is not a field of the
 spec, and only the calibration passes another one, to _BranchData.
+Each route has one set-up per field, built once in _log_dets: the pair
+fields, their norms and the ground directions (spinstar._PairProblems)
+on the momentum route, the sector spectra and K (_BranchData) on the
+determinant route. It serves the free series and every pulsed series
+of that field, so a family or a sweep sets up each field once.
 Every route ends in _series, which makes log L at the times one
 EchoSeries: the columns times, le and log_le, and one kind; no per-point
 object is built on a run.
@@ -355,11 +360,14 @@ def route(spec: ChainSpec) -> str:
 def _log_dets(spec: ChainSpec) -> Callable[..., np.ndarray | list[float]]:
     """log L at times ts on spec's route, as f(ts) free or f(ts, dt) pulsed.
 
-    On the determinant route log L is log|det|: the calibrated determinant
-    exponent is 1 (conventions.DET_EXPONENT).
+    The route's set-up is built here, once per spec, and serves every
+    series f is asked for: spinstar._PairProblems on the momentum route,
+    _BranchData on the determinant route. On the determinant route log L
+    is log|det|: the calibrated determinant exponent is 1
+    (conventions.DET_EXPONENT).
     """
     if route(spec) == "momentum":
-        return lambda ts, dt=None: spinstar.log_echo(spec, ts, dt)
+        return spinstar._PairProblems(spec).log_echo
     data = _BranchData(spec)
     return lambda ts, dt=None: (_free_log_dets(data, ts) if dt is None
                                 else _pulsed_log_dets(data, dt, ts))
@@ -469,7 +477,8 @@ def family(spec: ChainSpec, lambdas: Sequence[float], delta_ts: Sequence[float],
     in the order of delta_ts.
     """
     for lam in lambdas:
-        log_dets = _log_dets(replace(spec, lam=lam))
+        # spec itself where the field is its own: a replace re-validates it
+        log_dets = _log_dets(spec if lam == spec.lam else replace(spec, lam=lam))
         yield lam, None, _series(ts, log_dets(ts), "free")
         for dt in delta_ts:
             yield lam, dt, _series(ts, log_dets(ts, dt), "pulsed")

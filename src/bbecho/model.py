@@ -23,6 +23,8 @@ class SpecError(ValueError):
 
 
 def _as_int(name: str, value) -> int:
+    if type(value) is int:  # the common case, before the slower tests below
+        return value
     if isinstance(value, bool) or int(value) != value:
         raise SpecError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -92,7 +94,8 @@ class ChainSpec:
 
     @property
     def is_spin_star(self) -> bool:
-        return self.links == tuple(range(1, self.N + 1))
+        # links are sorted, unique and inside 1..N, so N of them are all sites
+        return len(self.links) == self.N
 
     @property
     def m(self) -> int:

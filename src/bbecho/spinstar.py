@@ -38,7 +38,13 @@ of the grid offset for 2p < N; the measured cross-path difference is
 
 ``log_echo`` owns the antiperiodic grid: it is the exact free and pulsed
 echo of a spin-star spec with even N, to all orders, and the route the
-echo module takes for every such spec.
+echo module takes for every such spec. Its set-up, _PairProblems, is
+built once per field: the pair fields of both branches, their norms and
+the ground direction of each up mode. The free series and every pulsed
+series of that field are then elementwise passes over the N/2 modes and
+the times, with no matrix product; at N = 300 a call spends most of its
+time in numpy's per-call overhead on these 150-element arrays, so the
+echo module builds the set-up once per field and reuses it.
 """
 
 from __future__ import annotations
@@ -123,7 +129,7 @@ def log_echo_closed_form(N: int, eps_eff: float, ts) -> np.ndarray:
     stays finite where the echo itself underflows.
     """
     n = _check_even(N)
-    t = np.asarray(ts, dtype=float)[:, None]
+    t = np.atleast_1d(np.asarray(ts, dtype=float))[:, None]
     return 2.0 * np.sum(np.log(np.abs(np.cos(8.0 * t * eps_eff * _delta_k(n)))), axis=-1)
 
 
@@ -151,9 +157,10 @@ def _pair_fields(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return hz_up, hz_down, 2.0 * spec.J * np.sin(q)
 
 
-def _evolve(hz: np.ndarray, hy: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """e^{-i h t} for h = hz sz + hy sy; hy never vanishes on the grid."""
-    w = np.hypot(hz, hy)
+def _evolve(hz: np.ndarray, hy: np.ndarray, w: np.ndarray,
+            t) -> tuple[np.ndarray, np.ndarray]:
+    """e^{-i h t} for h = hz sz + hy sy of norm w = hypot(hz, hy); hy never
+    vanishes on the grid."""
     s = np.sin(w * t) / w
     return np.cos(w * t) - 1j * s * hz, -s * hy
 
@@ -180,6 +187,57 @@ def _power(x, m: np.ndarray):
     return np.cos(m * th) + 1j * ratio * a.imag, ratio * b
 
 
+class _PairProblems:
+    """The N/2 pair problems of one spin-star field, built once per spec.
+
+    It holds the pair fields of both branches (_pair_fields), their norms
+    w = hypot(hz, hy) and the direction (hz_up, hy) / w_up of the up
+    generator, whose lower eigenvector is the ground state g_q of the
+    mode; the free series and every pulsed series of the field then
+    start from these. Raises SpecError for a spec that is not a spin star
+    with even N.
+    """
+
+    def __init__(self, spec: ChainSpec):
+        if not spec.is_spin_star:
+            raise SpecError(f"log_echo needs a spin-star spec, got links={spec.links}")
+        self.hz_up, self.hz_down, self.hy = _pair_fields(spec)
+        self.w_up = np.hypot(self.hz_up, self.hy)
+        self.w_down = np.hypot(self.hz_down, self.hy)
+        self.nz, self.ny = self.hz_up / self.w_up, self.hy / self.w_up
+
+    def log_echo(self, ts, delta_t: float | None = None) -> np.ndarray:
+        """log L at the times ts, a scalar being one time, free or pulsed
+        every delta_t; see log_echo."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        hz_up, hz_down, hy, w_up, w_down = (self.hz_up, self.hz_down, self.hy,
+                                            self.w_up, self.w_down)
+        if delta_t is None:
+            t = ts[:, None]
+            x = _mul(_dagger(_evolve(hz_up, hy, w_up, t)), _evolve(hz_down, hy, w_down, t))
+        else:
+            dt = float(delta_t)
+            # split the 1-D times: on a column the ascending check would see no step
+            m, t_res, first = (v[:, None] for v in PulseSchedule(dt).split(ts))
+            up, down = _evolve(hz_up, hy, w_up, dt), _evolve(hz_down, hy, w_down, dt)
+            s = t_res - dt
+            # after M cycles: for t_res < dt the branches
+            # finish as U_up(t_res) = U_up(s) U_up(dt) and U_down(s) U_down(dt),
+            # otherwise as U_down(s) U_up(dt) and U_up(s) U_down(dt)
+            a = _mul(_evolve(np.where(first, hz_up, hz_down), hy,
+                             np.where(first, w_up, w_down), s), up)
+            b = _mul(_evolve(np.where(first, hz_down, hz_up), hy,
+                             np.where(first, w_down, w_up), s), down)
+            a = _mul(a, _power(_mul(down, up), m))
+            b = _mul(b, _power(_mul(up, down), m))
+            x = _mul(_dagger(a), b)
+        # <g|x|g> = Re x_a - i (nz Im x_a + ny Re x_b) for the ground state g
+        # of the up generator along (nz, ny)
+        a, b = x
+        return np.sum(np.log(a.real ** 2 + (self.nz * a.imag + self.ny * b.real) ** 2),
+                      axis=-1)
+
+
 def log_echo(spec: ChainSpec, ts, delta_t: float | None = None) -> np.ndarray:
     """Exact log L of a spin-star spec at times ts, free or pulsed every delta_t.
 
@@ -193,31 +251,10 @@ def log_echo(spec: ChainSpec, ts, delta_t: float | None = None) -> np.ndarray:
     oracle.amplitude_pulsed for that mode. The M cycles of a pulse train
     are one closed-form SU(2) power, so a point costs O(N) whatever M is.
     A pulsed series needs ascending times (PulseSchedule.split), as on
-    the other routes.
+    the other routes; a scalar time gives a one-point array.
+
+    Each call builds the field's _PairProblems afresh, about a quarter of
+    a free call on two points at N = 300; echo.family, which asks for
+    several series of one field, builds it once and calls its log_echo.
     """
-    if not spec.is_spin_star:
-        raise SpecError(f"log_echo needs a spin-star spec, got links={spec.links}")
-    hz_up, hz_down, hy = _pair_fields(spec)
-    if delta_t is None:
-        t = np.asarray(ts, dtype=float)[:, None]
-        x = _mul(_dagger(_evolve(hz_up, hy, t)), _evolve(hz_down, hy, t))
-    else:
-        dt = float(delta_t)
-        # split the 1-D times: on a column the ascending check would see no step
-        m, t_res, first = (v[:, None] for v in PulseSchedule(dt).split(ts))
-        up, down = _evolve(hz_up, hy, dt), _evolve(hz_down, hy, dt)
-        s = t_res - dt
-        # after M cycles: for t_res < dt the branches
-        # finish as U_up(t_res) = U_up(s) U_up(dt) and U_down(s) U_down(dt),
-        # otherwise as U_down(s) U_up(dt) and U_up(s) U_down(dt)
-        a = _mul(_evolve(np.where(first, hz_up, hz_down), hy, s), up)
-        b = _mul(_evolve(np.where(first, hz_down, hz_up), hy, s), down)
-        a = _mul(a, _power(_mul(down, up), m))
-        b = _mul(b, _power(_mul(up, down), m))
-        x = _mul(_dagger(a), b)
-    # <g|x|g> = Re x_a - i (nz Im x_a + ny Re x_b) for the ground state g
-    # of the up generator along (nz, ny)
-    w = np.hypot(hz_up, hy)
-    a, b = x
-    return np.sum(np.log(a.real ** 2 + (hz_up / w * a.imag + hy / w * b.real) ** 2),
-                  axis=-1)
+    return _PairProblems(spec).log_echo(ts, delta_t)

@@ -490,6 +490,47 @@ class TestMomentumRoute:
         expected = _pair_reference(spec, dt, ts)
         assert np.max(np.abs(series.log_le[1:] - expected[1:])) <= 1e-10
 
+    def test_one_set_up_per_field(self, monkeypatch):
+        # the free series and all three pulsed series of a field share it
+        fields = []
+        real = spinstar._pair_fields
+
+        def recording(spec):
+            fields.append(spec.lam)
+            return real(spec)
+
+        monkeypatch.setattr(spinstar, "_pair_fields", recording)
+        star = ChainSpec.spin_star(N=8, lam=0.5, epsilon=0.25)
+        list(echo.family(star, [0.5, 1.5], [0.2, 0.3, 0.5], np.linspace(0.0, 2.0, 5)))
+        assert fields == [0.5, 1.5]
+
+    def test_unchanged_field_is_not_revalidated(self, monkeypatch):
+        star = ChainSpec.spin_star(N=8, lam=0.5, epsilon=0.25)
+        validated = []
+        real = ChainSpec.__post_init__
+
+        def recording(spec):
+            validated.append(spec.lam)
+            real(spec)
+
+        monkeypatch.setattr(ChainSpec, "__post_init__", recording)
+        sweep(star, [star.lam], [0.3], t_star=1.0, half_width=0.5, window_points=5)
+        assert validated == []
+        # another field is a new spec, validated once, with the same echo
+        # as a spec built at that field
+        other = sweep(star, [1.5], [0.3], t_star=1.0, half_width=0.5, window_points=5)
+        assert validated == [1.5]
+        monkeypatch.undo()
+        assert other == sweep(ChainSpec.spin_star(N=8, lam=1.5, epsilon=0.25), [1.5],
+                              [0.3], t_star=1.0, half_width=0.5, window_points=5)
+
+    @pytest.mark.parametrize("dt", [None, 0.3])
+    def test_scalar_time_is_one_point(self, dt):
+        spec = ChainSpec.spin_star(N=8, lam=0.5, epsilon=0.25)
+        one = spinstar.log_echo(spec, 1.0, dt)
+        assert one.shape == (1,)
+        assert np.array_equal(one, spinstar.log_echo(spec, [1.0], dt))
+
     def test_refuses_other_specs(self):
         with pytest.raises(SpecError, match="spin-star"):
             spinstar.log_echo(_spec(N=6), [1.0])

@@ -72,6 +72,42 @@ class TestChainSpec:
             ChainSpec.spin_star(N=6, lam=1.0, epsilon=0.1, boundary_sign=1)
 
 
+class TestShortcuts:
+    """is_spin_star counts the links and _as_int passes an int straight
+    through; both give what the full tests gave."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_is_spin_star_means_every_site_linked(self, n):
+        for mask in range(1, 2 ** n):
+            links = tuple(j + 1 for j in range(n) if mask >> j & 1)
+            spec = ChainSpec(N=n, lam=1.0, epsilon=0.1, links=links)
+            assert spec.is_spin_star == (spec.links == tuple(range(1, n + 1)))
+
+    def test_is_spin_star_at_paper_scale(self):
+        every = list(range(1, 301))
+        assert ChainSpec.spin_star(N=300, lam=1.0, epsilon=0.01).is_spin_star
+        # repeated and unordered sites are one link each
+        assert ChainSpec(N=300, lam=1.0, epsilon=0.01,
+                         links=every[::-1] + every[:5]).is_spin_star
+        for missing in (1, 150, 300):
+            links = [j for j in every if j != missing]
+            assert not ChainSpec(N=300, lam=1.0, epsilon=0.01, links=links).is_spin_star
+
+    @pytest.mark.parametrize("links", [(True, 2), (4.5,), ("1",)])
+    def test_non_integer_links_refused(self, links):
+        with pytest.raises(SpecError, match="integer"):
+            ChainSpec(N=4, lam=1.0, epsilon=0.1, links=links)
+
+    def test_integral_links_become_ints(self):
+        spec = ChainSpec(N=4, lam=1.0, epsilon=0.1, links=(2.0, np.int64(3)))
+        assert spec.links == (2, 3)
+        assert all(type(j) is int for j in spec.links)
+
+    def test_bool_size_refused(self):
+        with pytest.raises(SpecError, match="integer"):
+            ChainSpec(N=True, lam=1.0, epsilon=0.1, links=(1,))
+
+
 class TestShiftedField:
     def test_critical_with_small_coupling(self):
         spec = ChainSpec.spin_star(N=300, lam=1.0, epsilon=0.01)

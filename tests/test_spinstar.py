@@ -111,6 +111,11 @@ class TestAmplitudeClosedForm:
                 else:
                     assert value < -1400.0  # 2 * -708: the amplitude left the range
 
+    def test_log_echo_of_a_scalar_time_is_one_point(self):
+        one = log_echo_closed_form(6, 0.01, 1.0)
+        assert one.shape == (1,)
+        assert np.array_equal(one, log_echo_closed_form(6, 0.01, [1.0]))
+
 
 class TestGammaCoefficient:
     def test_n4_exact(self):
