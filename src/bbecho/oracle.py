@@ -4,19 +4,38 @@ Dense 2^N Hamiltonians filled by bit arithmetic on the sigma^z basis
 (periodic chain, site N+1 == site 1), full spectra, exact echo
 amplitudes for free and pulsed evolution, and the convention
 calibration that pins the free-fermion path. This is deliberately
-unsophisticated: no symmetry sectors, no sparsity, just eigh on the full
-matrix, which is exactly why it can arbitrate conventions. Guarded to
-N <= 14.
+unsophisticated: no sparsity, no fermions, no momenta, just eigh on
+dense matrices, which is exactly why it can arbitrate conventions.
+
+The one symmetry used is the spin parity prod_j sigma^z_j. Every term of
+either branch Hamiltonian is diagonal in the sigma^z basis or flips two
+bits, so both commute with it, and the echo never leaves the parity block
+of the bare-bath ground state |G>. The split reads only the bits of the
+basis index, so it is exact and needs no tolerance. Both blocks of the up
+branch are decomposed, the degeneracy check runs on their merged
+spectrum, and the block with the lower ground level is kept; the down
+branch is decomposed in that block alone. So three eighs at dimension
+2^(N-1), an eighth of the arithmetic each, replace two at 2^N.
+``ground_state`` still takes the full matrix, and tests compare the
+block amplitudes against a full-matrix replay.
 
 This is also the only source of the complex amplitude D(t); the
 determinant path yields its magnitude squared only.
 
 The two branch decompositions of the last spec are kept for the next
-call, so the free and pulsed amplitudes of one spec share one pair of
+call, so the free and pulsed amplitudes of one spec share one set of
 eigh calls. Only one spec is held, and it is dropped before the next
-spec's pair is built: at N = 10 a pair is 16 MB, and building the new
-pair while the old one is alive would raise the peak memory of a run
-over many specs by that much.
+spec's pair is built: at N = 10 the held pair is two 512 x 512
+eigenvector blocks, 4 MB, and building the new pair while the old one is
+alive would raise the peak memory of a run over many specs by that much.
+
+Guarded to N <= 12. A full matrix is 8 * 4^N bytes and a block a quarter
+of that; each full matrix is dropped once its block is sliced, and an
+eigh holds about four block-sized arrays (input copy, eigenvectors,
+workspace). The peak above the interpreter is then about 14 * 4^N bytes
+(measured 57 MB at N = 11, 225 MB at N = 12): about 0.9 GB at N = 13 and
+3.8 GB at N = 14, which a shared machine with a few GB free may not
+survive, where N = 12 stays near 0.23 GB.
 """
 
 from __future__ import annotations
@@ -31,7 +50,7 @@ import numpy as np
 from . import echo, freefermion
 from .model import ChainSpec, PulseSchedule, SpecError
 
-_N_MAX = 14
+_N_MAX = 12
 
 # The echo routes meet the oracle to this absolute tolerance in L: the
 # bar of `bbecho check` and of the convention calibration.
@@ -128,18 +147,26 @@ def ground_magnetization(spec: ChainSpec) -> np.ndarray:
 
 
 class _Spectral:
-    """Eigen-decomposed branch pair; decompose once, reuse over a grid.
+    """Eigen-decomposed branch pair in the parity block of |G>; decompose
+    once, reuse over a grid. States are 2^(N-1)-vectors of that block.
 
     The last one built is held by ``_spectral`` for the next call on the
     same spec, and dropped before another spec's pair is built.
     """
 
     def __init__(self, spec: ChainSpec):
-        hu = build_hamiltonian(spec, "up")
-        hd = build_hamiltonian(spec, "down")
-        self.eu, self.vu = np.linalg.eigh(hu.matrix)
-        self.ed, self.vd = np.linalg.eigh(hd.matrix)
-        _check_gap(self.eu)
+        even = _spins(spec.N).prod(axis=1) > 0
+        blocks = [np.ix_(b, b) for b in (np.flatnonzero(even), np.flatnonzero(~even))]
+        h = build_hamiltonian(spec, "up").matrix
+        up = [h[b] for b in blocks]
+        del h  # sliced: the full matrix goes before any eigh runs
+        up = [np.linalg.eigh(x) for x in up]
+        _check_gap(np.sort(np.concatenate([e for e, _ in up])))
+        k = int(up[1][0][0] < up[0][0][0])  # the block with the lower ground level
+        self.eu, self.vu = up[k]
+        del up
+        hd = build_hamiltonian(spec, "down").matrix[blocks[k]]
+        self.ed, self.vd = np.linalg.eigh(hd)
         self.g = self.vu[:, 0]
 
     def evolve(self, branch: str, t: float, state: np.ndarray) -> np.ndarray:
@@ -169,7 +196,7 @@ def amplitude_free(spec: ChainSpec, ts) -> np.ndarray:
     """D(t) = <G| e^{+i H_up t} e^{-i H_down t} |G> on a time array.
 
     With G real, D(t) = e^{i E0 t} sum_k w_k e^{-i E^down_k t} and
-    w = (V_down^T G)^2, so a time point costs O(2^N).
+    w = (V_down^T G)^2, so a time point costs O(2^(N-1)).
     """
     sp = _spectral(spec)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -182,7 +209,7 @@ def amplitude_free(spec: ChainSpec, ts) -> np.ndarray:
 
 
 def amplitude_pulsed(spec: ChainSpec, schedule: PulseSchedule, ts) -> np.ndarray:
-    """Echo amplitude under the pulse train, exact at 2^N level.
+    """Echo amplitude under the pulse train, exact in the parity block of |G>.
 
     The two qubit branches are evolved as explicit state vectors: per
     full flip cycle the up branch picks up e^{-iH_down dt} e^{-iH_up dt}

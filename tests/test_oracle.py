@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bbecho import cli, echo, freefermion, oracle
+from bbecho import cli, conventions, echo, freefermion, oracle
 from bbecho.echo import loschmidt_free, loschmidt_pulsed
 from bbecho.model import ChainSpec, PulseSchedule, SpecError, TimeGrid
 from bbecho.oracle import (CalibrationError, DegenerateGroundStateError,
@@ -106,8 +106,10 @@ class TestBuildHamiltonian:
         assert abs(e_dense - freefermion.ground_energy(d)) <= 1e-8
 
     def test_size_guard(self):
-        spec = ChainSpec(N=15, lam=1.0, epsilon=0.1, links=(1,))
-        with pytest.raises(OracleSizeError):
+        # N = 13 would need about 0.9 GB even in parity blocks; the guard
+        # refuses before any 2^N array is allocated
+        spec = ChainSpec(N=13, lam=1.0, epsilon=0.1, links=(1,))
+        with pytest.raises(OracleSizeError, match="N <= 12"):
             build_hamiltonian(spec, "up")
 
 
@@ -248,6 +250,80 @@ def _complex_product_pulsed(spec: ChainSpec, dt: float, ts: np.ndarray) -> np.nd
             b = evolve("up", s, evolve("down", dt, phi1))
         out.append(np.vdot(a, b))
     return np.array(out)
+
+
+def _full_matrix_replay(spec: ChainSpec, dt: float, ts: np.ndarray):
+    """Reference free and pulsed echoes L from eigh on the full 2^N matrices.
+
+    The free amplitude is e^{i E0 t} sum_k |<k|G>|^2 e^{-i E^down_k t};
+    ``ground_state`` raises where the ground level is degenerate.
+    """
+    gs = ground_state(build_hamiltonian(spec, "up"))
+    ed, vd = np.linalg.eigh(build_hamiltonian(spec, "down").matrix)
+    w = np.abs(vd.T @ gs.vector) ** 2
+    free = np.exp(1j * gs.energy * ts) * (np.exp(-1j * np.outer(ts, ed)) @ w)
+    return np.abs(free) ** 2, np.abs(_complex_product_pulsed(spec, dt, ts)) ** 2
+
+
+_LINK_SETS = {"one": lambda n: (1,), "two": lambda n: (1, 2),
+              "star": lambda n: tuple(range(1, n + 1))}
+_BLOCK_SPECS = [
+    pytest.param(ChainSpec(N=n, lam=lam, epsilon=0.25, links=_LINK_SETS[kind](n)),
+                 id=f"N{n}-{kind}-lam{lam}")
+    for n, kind, lam in itertools.product(range(2, 10), _LINK_SETS, (0.3, 1.0, 1.6))
+] + [
+    # degenerate or rounding-level ground gaps, refused by TestGroundState
+    pytest.param(ChainSpec(N=2, lam=0.0, epsilon=0.0, links=(1,)), id="N2-lam0"),
+    pytest.param(ChainSpec(N=8, lam=1e-3, epsilon=3.0, links=(1,)), id="N8-lam1e-3"),
+    pytest.param(ChainSpec.spin_star(N=6, lam=0.01169, epsilon=2.0), id="N6-star-mixing"),
+]
+
+
+class TestParityBlock:
+    """The oracle works in the spin-parity block of |G>, at dimension 2^(N-1)."""
+
+    @pytest.mark.parametrize("spec", _BLOCK_SPECS)
+    def test_block_oracle_matches_full_matrix(self, monkeypatch, spec):
+        dt, ts = 0.35, np.linspace(0.0, 6.0, 13)
+        try:
+            reference = _full_matrix_replay(spec, dt, ts)
+        except DegenerateGroundStateError:
+            reference = None
+        shapes = []
+        original_eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return original_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_held", [])
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        if reference is None:
+            with pytest.raises(DegenerateGroundStateError):
+                amplitude_free(spec, ts)
+        else:
+            free = np.abs(amplitude_free(spec, ts)) ** 2
+            pulsed = np.abs(amplitude_pulsed(spec, PulseSchedule(delta_t=dt), ts)) ** 2
+            assert np.max(np.abs(free - reference[0])) <= 1e-12
+            assert np.max(np.abs(pulsed - reference[1])) <= 1e-12
+        assert shapes
+        assert max(max(shape) for shape in shapes) <= 2 ** (spec.N - 1)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("kind", ["one", "star"])
+    def test_ground_state_lies_in_the_parity_block(self, n, lam, kind):
+        # the parity the calibrated sector fills: prod sigma^z = -bs (-1)^N
+        spec = ChainSpec(N=n, lam=lam, epsilon=0.25, links=_LINK_SETS[kind](n))
+        parity = oracle._spins(n).prod(axis=1)
+        expected = -conventions.BOUNDARY_SIGN * (-1) ** n
+        assert expected == 1
+        g = ground_state(build_hamiltonian(spec, "up")).vector
+        assert np.max(np.abs(g[parity != expected])) <= 1e-12
+        block = g[parity == expected]
+        held = oracle._Spectral(spec).g
+        sign = np.sign(np.vdot(held, block).real)
+        assert np.max(np.abs(sign * held - block)) <= 1e-12
 
 
 class TestHeldDecomposition:
