@@ -7,17 +7,35 @@ calibration that pins the free-fermion path. This is deliberately
 unsophisticated: no sparsity, no fermions, no momenta, just eigh on
 dense matrices, which is exactly why it can arbitrate conventions.
 
-The one symmetry used is the spin parity prod_j sigma^z_j. Every term of
-either branch Hamiltonian is diagonal in the sigma^z basis or flips two
-bits, so both commute with it, and the echo never leaves the parity block
-of the bare-bath ground state |G>. The split reads only the bits of the
-basis index, so it is exact and needs no tolerance. Both blocks of the up
-branch are decomposed, the degeneracy check runs on their merged
-spectrum, and the block with the lower ground level is kept; the down
-branch is decomposed in that block alone. So three eighs at dimension
-2^(N-1), an eighth of the arithmetic each, replace two at 2^N.
-``ground_state`` still takes the full matrix, and tests compare the
-block amplitudes against a full-matrix replay.
+Two symmetries are used, both permutations of the sigma^z basis that
+read only the bits of the basis index, so the split is exact and needs
+no tolerance. The first is the spin parity prod_j sigma^z_j: every term
+of either branch Hamiltonian is diagonal in the sigma^z basis or flips
+two bits, so both commute with it. The second is a site reflection P,
+j -> s - j (mod N), for the first axis s that maps the link set to
+itself (the oracle finds it on its own, not through the fermion routes).
+It maps ring bonds to ring bonds and the uniform field to itself, leaves
+the link field unchanged, and commutes with the parity. So the echo
+never leaves the sector of the bare-bath ground state |G>: a parity
+block, and within it the states even (+) or odd (-) under P. Where no
+axis exists, as for links (1, 2, 4) at N = 6, the sectors are the parity
+blocks.
+
+A sector's basis is one state per orbit {i, P i} with i <= P i: the
+normalized |i> + P|i> in the + sector and |i> - P|i> in the - sector,
+which holds the pairs only. Its entries are read from row i of the full
+matrix alone, w_a w_b (H[i_a, i_b] +- H[i_a, P i_b]) with w = 1/sqrt(2)
+for a fixed state (P i = i) and 1 otherwise, so each block is exactly
+symmetric. The off-diagonal entries are whole multiples of J; the
+diagonal is summed site by site, so H[P i, P i] can differ from H[i, i]
+in the last bit, and the block is exact up to that rounding. The
+eigenvalues of every up sector are computed, the degeneracy check runs
+on their merged spectrum (the full spectrum), and the sector with the
+lowest ground level is kept; both branches are decomposed in that sector
+alone. At N = 10 the sectors are 272 and 240 wide, against 512 for a
+parity block and 1024 for the full matrix. ``ground_state`` still takes
+the full matrix, and tests compare the sector amplitudes against a
+full-matrix replay.
 
 This is also the only source of the complex amplitude D(t); the
 determinant path yields its magnitude squared only.
@@ -25,17 +43,18 @@ determinant path yields its magnitude squared only.
 The two branch decompositions of the last spec are kept for the next
 call, so the free and pulsed amplitudes of one spec share one set of
 eigh calls. Only one spec is held, and it is dropped before the next
-spec's pair is built: at N = 10 the held pair is two 512 x 512
-eigenvector blocks, 4 MB, and building the new pair while the old one is
-alive would raise the peak memory of a run over many specs by that much.
+spec's pair is built: at N = 10 the held pair is two eigenvector blocks
+of at most 272 x 272, 1.2 MB, and building the new pair while the old
+one is alive would raise the peak memory of a run over many specs by
+that much.
 
-Guarded to N <= 12. A full matrix is 8 * 4^N bytes and a block a quarter
-of that; each full matrix is dropped once its block is sliced, and an
-eigh holds about four block-sized arrays (input copy, eigenvectors,
-workspace). The peak above the interpreter is then about 14 * 4^N bytes
-(measured 57 MB at N = 11, 225 MB at N = 12): about 0.9 GB at N = 13 and
-3.8 GB at N = 14, which a shared machine with a few GB free may not
-survive, where N = 12 stays near 0.23 GB.
+Guarded to N <= 12. The full matrix, 8 * 4^N bytes, sets the peak: it
+is alive while the up sectors, together about a quarter of its size,
+are sliced from it, and it is dropped before any eigh runs. The peak of
+one decomposition above the interpreter is then about 10.5 * 4^N bytes
+(measured 45 MB at N = 11, 176 MB at N = 12): about 0.7 GB at N = 13
+and 2.8 GB at N = 14, which a shared machine with a few GB free may not
+survive, where N = 12 stays near 0.18 GB.
 """
 
 from __future__ import annotations
@@ -146,27 +165,60 @@ def ground_magnetization(spec: ChainSpec) -> np.ndarray:
     return np.abs(g) ** 2 @ _spins(spec.N)
 
 
+def _reflection(spec: ChainSpec) -> np.ndarray | None:
+    """The site reflection P as a map of basis indices, or None.
+
+    The axis is the first s whose reflection j -> s - j (mod N) maps the
+    0-based link set to itself; entry i of the map is the index of the
+    state i with the spin of each site j moved to site s - j.
+    """
+    n, i = spec.N, np.arange(2 ** spec.N)
+    links = {j - 1 for j in spec.links}
+    axis = next((s for s in range(n) if {(s - j) % n for j in links} == links), None)
+    if axis is None:
+        return None
+    # site j is bit N-1-j of the index, as _spins reads it
+    return sum(((i >> (n - 1 - j)) & 1) << (n - 1 - (axis - j) % n) for j in range(n))
+
+
 class _Spectral:
-    """Eigen-decomposed branch pair in the parity block of |G>; decompose
-    once, reuse over a grid. States are 2^(N-1)-vectors of that block.
+    """Eigen-decomposed branch pair in the symmetry sector of |G>; decompose
+    once, reuse over a grid. States are vectors of that sector, of
+    dimension at most 2^(N-2) + 2^(N//2-1) where an axis exists (272 at
+    N = 10) and 2^(N-1) where none does. The sector's basis is given by
+    ``rows`` and ``sign``: the state |i> + sign P|i>, normalized, for
+    each i in rows (|i> alone where P i = i).
 
     The last one built is held by ``_spectral`` for the next call on the
     same spec, and dropped before another spec's pair is built.
     """
 
     def __init__(self, spec: ChainSpec):
+        i = np.arange(2 ** spec.N)
+        p = _reflection(spec)
+        p = i if p is None else p  # no axis: every state is fixed, the parity blocks
         even = _spins(spec.N).prod(axis=1) > 0
-        blocks = [np.ix_(b, b) for b in (np.flatnonzero(even), np.flatnonzero(~even))]
+        sectors = [(np.flatnonzero(block & m), sign) for block in (even, ~even)
+                   for sign, m in ((1, i <= p), (-1, i < p)) if (block & m).any()]
+
+        def sliced(h, rows, sign):
+            # w_a w_b as 0.5 ** (half_a + half_b), exactly 1/2 for two
+            # fixed states, so a parity block is sliced bit for bit
+            half = np.where(p[rows] == rows, 0.5, 0.0)
+            return ((h[np.ix_(rows, rows)] + sign * h[np.ix_(rows, p[rows])])
+                    * 0.5 ** (half[:, None] + half))
+
         h = build_hamiltonian(spec, "up").matrix
-        up = [h[b] for b in blocks]
+        up = [sliced(h, *s) for s in sectors]
         del h  # sliced: the full matrix goes before any eigh runs
-        up = [np.linalg.eigh(x) for x in up]
-        _check_gap(np.sort(np.concatenate([e for e, _ in up])))
-        k = int(up[1][0][0] < up[0][0][0])  # the block with the lower ground level
-        self.eu, self.vu = up[k]
+        levels = [np.linalg.eigvalsh(x) for x in up]
+        _check_gap(np.sort(np.concatenate(levels)))
+        k = int(np.argmin([e[0] for e in levels]))  # the sector with the lowest ground level
+        self.rows, self.sign = sectors[k]
+        self.eu, self.vu = np.linalg.eigh(up[k])
         del up
-        hd = build_hamiltonian(spec, "down").matrix[blocks[k]]
-        self.ed, self.vd = np.linalg.eigh(hd)
+        self.ed, self.vd = np.linalg.eigh(sliced(build_hamiltonian(spec, "down").matrix,
+                                                 *sectors[k]))
         self.g = self.vu[:, 0]
 
     def evolve(self, branch: str, t: float, state: np.ndarray) -> np.ndarray:
@@ -196,7 +248,8 @@ def amplitude_free(spec: ChainSpec, ts) -> np.ndarray:
     """D(t) = <G| e^{+i H_up t} e^{-i H_down t} |G> on a time array.
 
     With G real, D(t) = e^{i E0 t} sum_k w_k e^{-i E^down_k t} and
-    w = (V_down^T G)^2, so a time point costs O(2^(N-1)).
+    w = (V_down^T G)^2, so a time point costs O(d), d the dimension of the
+    sector of |G> (272 at N = 10).
     """
     sp = _spectral(spec)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -209,7 +262,7 @@ def amplitude_free(spec: ChainSpec, ts) -> np.ndarray:
 
 
 def amplitude_pulsed(spec: ChainSpec, schedule: PulseSchedule, ts) -> np.ndarray:
-    """Echo amplitude under the pulse train, exact in the parity block of |G>.
+    """Echo amplitude under the pulse train, exact in the sector of |G>.
 
     The two qubit branches are evolved as explicit state vectors: per
     full flip cycle the up branch picks up e^{-iH_down dt} e^{-iH_up dt}

@@ -106,7 +106,7 @@ class TestBuildHamiltonian:
         assert abs(e_dense - freefermion.ground_energy(d)) <= 1e-8
 
     def test_size_guard(self):
-        # N = 13 would need about 0.9 GB even in parity blocks; the guard
+        # N = 13 would need about 0.7 GB even in reflection sectors; the guard
         # refuses before any 2^N array is allocated
         spec = ChainSpec(N=13, lam=1.0, epsilon=0.1, links=(1,))
         with pytest.raises(OracleSizeError, match="N <= 12"):
@@ -272,6 +272,11 @@ _BLOCK_SPECS = [
                  id=f"N{n}-{kind}-lam{lam}")
     for n, kind, lam in itertools.product(range(2, 10), _LINK_SETS, (0.3, 1.0, 1.6))
 ] + [
+    # no reflection maps these link sets to themselves: parity blocks only
+    pytest.param(ChainSpec(N=n, lam=lam, epsilon=0.25, links=(1, 2, 4)),
+                 id=f"N{n}-124-lam{lam}")
+    for n, lam in itertools.product((6, 7), (0.3, 1.0, 1.6))
+] + [
     # degenerate or rounding-level ground gaps, refused by TestGroundState
     pytest.param(ChainSpec(N=2, lam=0.0, epsilon=0.0, links=(1,)), id="N2-lam0"),
     pytest.param(ChainSpec(N=8, lam=1e-3, epsilon=3.0, links=(1,)), id="N8-lam1e-3"),
@@ -279,8 +284,20 @@ _BLOCK_SPECS = [
 ]
 
 
+def _has_axis(spec: ChainSpec) -> bool:
+    """Whether a reflection of the ring maps the link set to itself, as
+    the determinant route decides it: its sector determinant is squared."""
+    return echo._sector(spec, conventions.BOUNDARY_SIGN)[1] == 2
+
+
+# link sets of the check suite and of these tests, at every N that has their sites
+_CROSS_LINKS = [(1,), (1, 2), (1, 2, 4), (1, 2, 5), (1, 3), (1, 4), (1, 5), (2, 4),
+                (2, 5), (2, 6), (3, 5), (5,)]
+
+
 class TestParityBlock:
-    """The oracle works in the spin-parity block of |G>, at dimension 2^(N-1)."""
+    """The oracle works in the parity block of |G>, and within it in the
+    sector of a reflection of the ring where one maps the links to themselves."""
 
     @pytest.mark.parametrize("spec", _BLOCK_SPECS)
     def test_block_oracle_matches_full_matrix(self, monkeypatch, spec):
@@ -290,14 +307,16 @@ class TestParityBlock:
         except DegenerateGroundStateError:
             reference = None
         shapes = []
-        original_eigh = np.linalg.eigh
 
-        def recording_eigh(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return original_eigh(a, *args, **kwargs)
+        def recording(original):
+            def decompose(a, *args, **kwargs):
+                shapes.append(a.shape)
+                return original(a, *args, **kwargs)
+            return decompose
 
         monkeypatch.setattr(oracle, "_held", [])
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
         if reference is None:
             with pytest.raises(DegenerateGroundStateError):
                 amplitude_free(spec, ts)
@@ -307,7 +326,31 @@ class TestParityBlock:
             assert np.max(np.abs(free - reference[0])) <= 1e-12
             assert np.max(np.abs(pulsed - reference[1])) <= 1e-12
         assert shapes
-        assert max(max(shape) for shape in shapes) <= 2 ** (spec.N - 1)
+        # the larger reflection sector of a parity block: 272 at N = 10
+        n = spec.N
+        bound = 2 ** (n - 2) + 2 ** (n // 2 - 1) if _has_axis(spec) else 2 ** (n - 1)
+        assert max(max(shape) for shape in shapes) <= bound
+
+    @pytest.mark.parametrize("spec", [p for p in _BLOCK_SPECS if _has_axis(p.values[0])])
+    def test_reflection_is_a_symmetry(self, spec):
+        p = oracle._reflection(spec)
+        n = 2 ** spec.N
+        np.testing.assert_array_equal(np.sort(p), np.arange(n))
+        np.testing.assert_array_equal(p[p], np.arange(n))
+        parity = oracle._spins(spec.N).prod(axis=1)
+        np.testing.assert_array_equal(parity[p], parity)
+        for branch in ("up", "down"):
+            h = build_hamiltonian(spec, branch).matrix
+            assert np.max(np.abs(h[np.ix_(p, p)] - h)) <= 1e-14 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_axis_found_where_the_determinant_route_squares(self, n):
+        # each module finds its own axis; neither imports the other's rule
+        link_sets = [links for links in _CROSS_LINKS if max(links) <= n]
+        link_sets += [tuple(range(1, n + 1)), (1, n // 2 + 1)]
+        for links in link_sets:
+            spec = ChainSpec(N=n, lam=1.0, epsilon=0.25, links=links)
+            assert (oracle._reflection(spec) is not None) == _has_axis(spec), links
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
@@ -318,12 +361,20 @@ class TestParityBlock:
         parity = oracle._spins(n).prod(axis=1)
         expected = -conventions.BOUNDARY_SIGN * (-1) ** n
         assert expected == 1
-        g = ground_state(build_hamiltonian(spec, "up")).vector
+        g = ground_state(build_hamiltonian(spec, "up")).vector.real
         assert np.max(np.abs(g[parity != expected])) <= 1e-12
-        block = g[parity == expected]
-        held = oracle._Spectral(spec).g
-        sign = np.sign(np.vdot(held, block).real)
-        assert np.max(np.abs(sign * held - block)) <= 1e-12
+        held = oracle._Spectral(spec)
+        p = oracle._reflection(spec)
+        # P g = +-g, the sign of the sector the oracle keeps
+        assert np.max(np.abs(g[p] - held.sign * g)) <= 1e-12
+        # lift the sector vector: weight 1/sqrt(2) on i and on P i, or 1 on i = P i
+        lifted = np.zeros(2 ** n)
+        w = np.where(p[held.rows] == held.rows, 0.5, np.sqrt(0.5))
+        np.add.at(lifted, held.rows, w * held.g)
+        np.add.at(lifted, p[held.rows], held.sign * w * held.g)
+        block, lifted = g[parity == expected], lifted[parity == expected]
+        sign = np.sign(lifted @ block)
+        assert np.max(np.abs(sign * lifted - block)) <= 1e-12
 
 
 class TestHeldDecomposition:
@@ -349,6 +400,15 @@ class TestHeldDecomposition:
         assert len(rows) == 72
         assert len(inits) == len(set(inits)) == 24
         assert len(built) == 48
+
+    @pytest.mark.parametrize("kind", ["one", "star"])
+    def test_held_pair_at_n10_fits_in_1_2_mb(self, monkeypatch, kind):
+        # two eigenvector blocks of at most 272 x 272; a parity block's pair is 4.2 MB
+        monkeypatch.setattr(oracle, "_held", [])
+        amplitude_free(ChainSpec(N=10, lam=1.0, epsilon=0.25, links=_LINK_SETS[kind](10)),
+                       [0.5])
+        held = oracle._held[0][1]
+        assert held.vu.nbytes + held.vd.nbytes <= 1.2e6
 
     @pytest.mark.parametrize("other", [
         {"epsilon": 0.4}, {"links": (1, 2, 3, 4, 5, 6)}], ids=["epsilon", "links"])
