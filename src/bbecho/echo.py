@@ -8,11 +8,14 @@ other spec takes the determinant route below, as do the effective theory
 and the convention calibration for every spec. Both routes work in the
 calibrated antiperiodic fermion sector; the sector is not a field of the
 spec, and only the calibration passes another one, to _BranchData.
-Each route has one set-up per field, built once in _log_dets: the pair
-fields, their norms and the ground directions (spinstar._PairProblems)
-on the momentum route, the sector spectra and K (_BranchData) on the
-determinant route. It serves the free series and every pulsed series
-of that field, so a family or a sweep sets up each field once.
+Each route has one set-up object per field, built once in _log_dets:
+spinstar._PairProblems (the pair fields, their norms and the ground
+directions) on the momentum route, _BranchData (the sector spectra and
+K) on the determinant route. Both answer log_echo(ts, delta_t=None),
+log L free or pulsed every delta_t, so one set-up serves the free series
+and every pulsed series of that field, and a family or a sweep sets up
+each field once. The effective echo and the calibration build
+_BranchData too.
 Every route ends in _series, which makes log L at the times one
 EchoSeries: the columns times, le and log_le, and one kind; no per-point
 object is built on a run.
@@ -95,10 +98,17 @@ up into a drift of the echo over long trains. The ladder grows only to
 the bit length of the largest jump, so at most log2(M) + 1 powers are
 held.
 
-The effective generator C_eff below commutes with U too, so the
-effective point is det(L E_eff(t) L^H) to the same power, with
-L = W_+^T Y in the eigenbasis Y, E_eff of V^T C_eff V and W_+ from the
-sector decomposition of the up branch.
+The effective generator C_eff below commutes with U too, so it is
+taken in the sector, and there in the up eigenbasis of _BranchData,
+where C_up is diag(e_up), C_down is K diag(e_down) K^T and the filled
+sea is the first filled basis vectors. Its entries are
+
+    (i dt/2) (K diag(e_down) K^T)[a, b] (e_b - e_a),
+
+and with its eigenvalues w and eigenvectors Y the effective point is
+|det(L diag(e^{+iwt}) L^H)| to the same power, L the filled rows of Y.
+It needs no 2N matrix and no V: the set-up of the free and pulsed echo
+serves it.
 
 For fast pulsing the echo is predicted by the effective generator
 C_eff = i (dt/2) [C_down, C_up], whose entries do not depend on the
@@ -185,24 +195,6 @@ def _sector(spec: ChainSpec, boundary_sign: int) -> tuple[np.ndarray, int]:
     return projector[:, keep] / np.sqrt(norm2[keep]), 2
 
 
-def _modes(spec: ChainSpec, boundary_sign: int):
-    """Sector spectrum of the up branch, as (e, X, V, power, filled): the
-    ascending eigenvalues e and eigenvectors X of V^T C V, with V and power
-    from _sector, and the number of filled modes, the first columns of X.
-
-    Raises SpecError for odd N, where the calibrated antiperiodic sector
-    misses the oracle echo (by 8e-4 to 5e-2 at N = 3, 5, 7, one link,
-    Jt <= 10). The filled modes are the negative ones, counted by
-    freefermion.filled_count, which raises DegenerateFillingError where
-    that choice is ambiguous.
-    """
-    if spec.N % 2:
-        raise SpecError(f"the determinant echo needs even N, got N={spec.N}")
-    v, power = _sector(spec, boundary_sign)
-    e, x = np.linalg.eigh(v.T @ freefermion.build_bdg(spec, "up", boundary_sign).C @ v)
-    return e, x, v, power, freefermion.filled_count(e)
-
-
 def _unitarized(x: np.ndarray) -> np.ndarray:
     """One Newton-Schulz step x (3 - x^H x) / 2 toward orthonormal columns."""
     g = x.conj().T @ x
@@ -219,23 +211,55 @@ def _real_times(k: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 class _BranchData:
-    """Both branches of one fermion sector in the symmetry sector of the spec.
+    """The determinant route's set-up: both branches of one fermion sector
+    in the symmetry sector of the spec, built once per field.
 
-    e_up and e_down are the sector mode energies, the down branch taken
-    in the sector columns V that _modes returns for the up branch;
-    k = X_up^T X_down is the real change of basis after one Newton-Schulz
-    step (the product of two float64 eigh bases is orthogonal only to
-    about 1e-15, and that error, powered over a long train, would set the
-    drift of the echo); filled is the number of filled up modes (the first
-    rows of k) and power the power of the sector determinant.
-    Raises what _modes raises.
+    e_up and e_down are the ascending mode energies of V^T C V in each
+    branch, with V and the power of the sector determinant from _sector;
+    k = X_up^T X_down is the real change of basis between their
+    eigenvectors after one Newton-Schulz step (the product of two float64
+    eigh bases is orthogonal only to about 1e-15, and that error, powered
+    over a long train, would set the drift of the echo); filled is the
+    number of filled up modes, the first rows of k. log_echo serves the
+    free series and every pulsed series of the field, and
+    loschmidt_effective forms its generator from the same fields.
+
+    Raises SpecError for odd N, where the calibrated antiperiodic sector
+    misses the oracle echo (by 8e-4 to 5e-2 at N = 3, 5, 7, one link,
+    Jt <= 10). The filled modes are the negative ones, counted by
+    freefermion.filled_count, which raises DegenerateFillingError where
+    that choice is ambiguous.
     """
 
     def __init__(self, spec: ChainSpec, boundary_sign: int = BOUNDARY_SIGN):
-        self.e_up, x_up, v, self.power, self.filled = _modes(spec, boundary_sign)
+        if spec.N % 2:
+            raise SpecError(f"the determinant echo needs even N, got N={spec.N}")
+        v, self.power = _sector(spec, boundary_sign)
+        c_up = freefermion.build_bdg(spec, "up", boundary_sign).C
+        self.e_up, x_up = np.linalg.eigh(v.T @ c_up @ v)
+        self.filled = freefermion.filled_count(self.e_up)
         c_down = freefermion.build_bdg(spec, "down", boundary_sign).C
         self.e_down, x_down = np.linalg.eigh(v.T @ c_down @ v)
         self.k = _unitarized(x_up.T @ x_down)
+
+    def log_echo(self, ts, delta_t: float | None = None) -> list[float]:
+        """log L at the times ts, free or pulsed every delta_t.
+
+        Free, a point is power times log|det(Q E_down(-t) Q^T)| with Q the
+        filled rows of k. Pulsed, the times must ascend, and one
+        _PulseTrain carries the rows from point to point by whole cycles.
+        """
+        if delta_t is None:
+            q = self.k[:self.filled]
+            return [self.power * _log_det((q * p.real) @ q.T + 1j * ((q * p.imag) @ q.T))
+                    for p in np.exp(-1j * np.outer(ts, self.e_down))]
+        cycles, residuals, firsts = PulseSchedule(delta_t).split(ts)
+        train = _PulseTrain(self, delta_t)
+        log_dets = []
+        for m, t_res, first in zip(cycles.tolist(), residuals.tolist(), firsts.tolist()):
+            train.advance(int(m))
+            log_dets.append(train.log_det(t_res, first))
+        return log_dets
 
 
 def _log_det(m: np.ndarray) -> float:
@@ -258,14 +282,6 @@ def _series(ts: np.ndarray, log_dets: Sequence[float], kind: str) -> EchoSeries:
     # math.exp, not np.exp, which differs in the last bit on some points
     le = [math.exp(x) if x > -745.0 else 0.0 for x in log_le.tolist()]
     return EchoSeries(times=ts, le=np.array(le), log_le=log_le, kind=kind)
-
-
-def _free_log_dets(data: _BranchData, ts: np.ndarray) -> list[float]:
-    """log L of the free string e^{+iC_up t} e^{-iC_down t} at each time,
-    power times log|det(Q E_down(-t) Q^T)| with Q the filled rows of k."""
-    q = data.k[:data.filled]
-    return [data.power * _log_det((q * p.real) @ q.T + 1j * ((q * p.imag) @ q.T))
-            for p in np.exp(-1j * np.outer(ts, data.e_down))]
 
 
 class _PulseTrain:
@@ -338,17 +354,6 @@ class _PulseTrain:
         return self.data.power * _log_det(m)
 
 
-def _pulsed_log_dets(data: _BranchData, dt: float, ts: np.ndarray) -> list[float]:
-    """log L of the pulsed string at ascending times; rows jump by whole cycles."""
-    cycles, residuals, firsts = PulseSchedule(dt).split(ts)
-    train = _PulseTrain(data, dt)
-    log_dets = []
-    for m, t_res, first in zip(cycles.tolist(), residuals.tolist(), firsts.tolist()):
-        train.advance(int(m))
-        log_dets.append(train.log_det(t_res, first))
-    return log_dets
-
-
 def route(spec: ChainSpec) -> str:
     """The route of spec's free and pulsed echo: "momentum" for a spin star
     with even N, else "determinant"."""
@@ -360,17 +365,13 @@ def route(spec: ChainSpec) -> str:
 def _log_dets(spec: ChainSpec) -> Callable[..., np.ndarray | list[float]]:
     """log L at times ts on spec's route, as f(ts) free or f(ts, dt) pulsed.
 
-    The route's set-up is built here, once per spec, and serves every
-    series f is asked for: spinstar._PairProblems on the momentum route,
-    _BranchData on the determinant route. On the determinant route log L
-    is log|det|: the calibrated determinant exponent is 1
-    (conventions.DET_EXPONENT).
+    The route's set-up is built here, once per spec, and its log_echo
+    serves every series f is asked for: spinstar._PairProblems on the
+    momentum route, _BranchData on the determinant route. On the
+    determinant route log L is log|det|: the calibrated determinant
+    exponent is 1 (conventions.DET_EXPONENT).
     """
-    if route(spec) == "momentum":
-        return spinstar._PairProblems(spec).log_echo
-    data = _BranchData(spec)
-    return lambda ts, dt=None: (_free_log_dets(data, ts) if dt is None
-                                else _pulsed_log_dets(data, dt, ts))
+    return (spinstar._PairProblems if route(spec) == "momentum" else _BranchData)(spec).log_echo
 
 
 def loschmidt_free(spec: ChainSpec, grid: TimeGrid) -> EchoSeries:
@@ -395,20 +396,34 @@ class EffectiveGenerator:
 
 
 def effective_bdg(spec: ChainSpec, schedule: PulseSchedule) -> EffectiveGenerator:
-    """Leading-order generator of the residual decay under fast pulsing.
+    """Leading-order generator of the residual decay under fast pulsing,
+    over the whole 2N space: the reference that tests hold the sector
+    form of loschmidt_effective against.
 
-    The transverse-field parts of C_down and C_up are identical and
-    cancel in the commutator, so the entries are field-independent.
+    C_down - C_up is diagonal, delta = -2 epsilon on the link sites of the
+    first half and +2 epsilon on those of the second, so the commutator
+    [C_down, C_up] has the entries (delta_a - delta_b) C_up[a, b]. The
+    transverse field sits on the diagonal, where delta_a - delta_b is
+    zero, so the entries are field-independent.
     """
     cu = freefermion.build_bdg(spec, "up").C
-    cd = freefermion.build_bdg(spec, "down").C
-    c_eff = 1j * (schedule.delta_t / 2.0) * (cd @ cu - cu @ cd)
+    link = np.zeros(spec.N)
+    link[np.subtract(spec.links, 1)] = 2.0 * spec.epsilon
+    delta = np.concatenate([-link, link])
+    c_eff = 1j * (schedule.delta_t / 2.0) * (delta[:, None] - delta) * cu
     return EffectiveGenerator(N=spec.N, C=c_eff)
 
 
 def loschmidt_effective(spec: ChainSpec, schedule: PulseSchedule,
                         grid: TimeGrid) -> EchoSeries:
     """Leading-order prediction |<G| e^{i t C_eff} ...>| on cycle-aligned times.
+
+    The generator is taken in the up eigenbasis of _BranchData, where
+    C_up is diag(e_up), C_down is K diag(e_down) K^T and the filled sea is
+    the first filled basis vectors: its entries are
+    i (dt/2) (K diag(e_down) K^T)[a, b] (e_b - e_a), and a point is power
+    times log|det(L diag(e^{+iwt}) L^H)|, with w its eigenvalues and L the
+    filled rows of its eigenvectors.
 
     It omits the mean generator (C_up + C_down) / 2, so it holds only
     while t |w| << 1 for the mode gaps w of that generator. Its error
@@ -417,13 +432,14 @@ def loschmidt_effective(spec: ChainSpec, schedule: PulseSchedule,
     """
     if grid.mode != "cycles":
         raise SpecError("loschmidt_effective needs a cycle-aligned grid")
-    _, x, v, power, filled = _modes(spec, BOUNDARY_SIGN)
-    gen = effective_bdg(spec, schedule)
-    evals, vecs = np.linalg.eigh(v.T @ gen.C @ v)
-    left = x[:, :filled].T @ vecs
+    data = _BranchData(spec)
+    down = (data.k * data.e_down) @ data.k.T
+    gen = 1j * (schedule.delta_t / 2.0) * down * (data.e_up - data.e_up[:, None])
+    evals, vecs = np.linalg.eigh(gen)
+    left = vecs[:data.filled]
     right = left.conj().T
     ts = grid.times(schedule)
-    log_dets = [power * _log_det((left * np.exp(1j * evals * t)) @ right) for t in ts]
+    log_dets = [data.power * _log_det((left * np.exp(1j * evals * t)) @ right) for t in ts]
     return _series(ts, log_dets, "effective")
 
 

@@ -47,8 +47,9 @@ directly and serve as the reference. The echo module evaluates the
 occupied-subspace form in a symmetry sector of the ring: where a
 reflection maps the link set to itself, each branch is one real N x N
 eigh and the echo is the square of a determinant of size N/2; where none
-does, it works over the whole 2N space. The up branch's sector
-decomposition also gives the filled sea of the effective echo.
+does, it works over the whole 2N space. The effective echo works in
+the same sector decomposition of both branches, in the up eigenbasis,
+where the filled sea is the first basis vectors.
 """
 
 from __future__ import annotations

@@ -336,7 +336,7 @@ def calibrate_conventions(specs: Sequence[ChainSpec]) -> CalibrationResult:
         # the exponent only powers the determinant, so each sector's log
         # determinants are computed once and serve both exponents
         try:
-            log_dets = [np.asarray(echo._free_log_dets(echo._BranchData(spec, bs), ts))
+            log_dets = [np.asarray(echo._BranchData(spec, bs).log_echo(ts))
                         for spec in specs]
         except freefermion.DegenerateFillingError:
             # a sector with zero modes cannot even define its filled

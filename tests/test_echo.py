@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bbecho import echo, oracle, spinstar
+from bbecho import echo, freefermion, oracle, spinstar
 from bbecho.echo import (EchoSeries, coherence_offdiagonal,
                          effective_bdg, loschmidt_effective, loschmidt_free,
                          loschmidt_pulsed, sweep, time_average)
@@ -107,8 +107,7 @@ class TestLoschmidtPulsed:
         schedule = PulseSchedule(delta_t=0.5)
         eps_t = 1e-7
         grid_times = np.array([0.0, 1.5 - eps_t, 1.5, 1.5 + eps_t])
-        log_dets = echo._pulsed_log_dets(echo._BranchData(spec), schedule.delta_t,
-                                         grid_times)
+        log_dets = echo._BranchData(spec).log_echo(grid_times, schedule.delta_t)
         pts = echo._series(grid_times, log_dets, "pulsed").points
         assert abs(pts[1].le - pts[2].le) <= 1e-5
         assert abs(pts[3].le - pts[2].le) <= 1e-5
@@ -228,10 +227,10 @@ class TestReflectionSector:
         data = echo._BranchData(spec)
         assert (data.power, data.filled) == (1, n)
         ts = np.linspace(0.0, 10.0, 41)
-        free = np.exp(echo._free_log_dets(data, ts))
+        free = np.exp(data.log_echo(ts))
         assert np.max(np.abs(free - np.abs(oracle.amplitude_free(spec, ts)) ** 2)) <= 1e-8
         schedule = PulseSchedule(delta_t=0.7)
-        pulsed = np.exp(echo._pulsed_log_dets(data, schedule.delta_t, ts))
+        pulsed = np.exp(data.log_echo(ts, schedule.delta_t))
         expected = np.abs(oracle.amplitude_pulsed(spec, schedule, ts)) ** 2
         assert np.max(np.abs(pulsed - expected)) <= 1e-8
 
@@ -295,7 +294,7 @@ class TestCycleJumps:
                 held.append(self)
 
         monkeypatch.setattr(echo, "_PulseTrain", Recording)
-        series = echo._series(ts, echo._pulsed_log_dets(echo._BranchData(spec), dt, ts),
+        series = echo._series(ts, echo._BranchData(spec).log_echo(ts, dt),
                               "pulsed")
         assert len(held) == 1
         assert len(held[0].powers) <= int(cycles[-1]).bit_length()
@@ -326,7 +325,7 @@ class TestCycleJumps:
         spec = _spec(N=4, lam=1.0, epsilon=0.25)
         dt, ts = 1e-5, np.array([10.0, 50.0])
         data = echo._BranchData(spec)
-        log_le = np.array(echo._pulsed_log_dets(data, dt, ts))
+        log_le = np.array(data.log_echo(ts, dt))
         assert np.max(np.abs(log_le - _extended_replay(data, dt, ts))) <= 1e-9
         # against the same replay with K made orthogonal, the kernel's
         # Newton-Schulz steps leave no drift of their own
@@ -415,12 +414,12 @@ class TestMomentumRoute:
             spec = ChainSpec.spin_star(N=n, lam=lam, epsilon=0.25)
             assert echo.route(spec) == "momentum"
             data = echo._BranchData(spec)
-            pairs = [(loschmidt_free(spec, grid), echo._free_log_dets(data, ts))]
+            pairs = [(loschmidt_free(spec, grid), data.log_echo(ts))]
             for dt in (0.05, 0.3, 1.0):
                 t_res = ts - 2 * dt * np.floor(ts / (2 * dt) + 1e-12)
                 assert np.any(t_res < dt) and np.any(t_res >= dt)
                 pairs.append((loschmidt_pulsed(spec, PulseSchedule(delta_t=dt), grid),
-                              echo._pulsed_log_dets(data, dt, ts)))
+                              data.log_echo(ts, dt)))
             for series, log_dets in pairs:
                 det = echo._series(ts, log_dets, series.points[0].kind)
                 assert np.max(np.abs(series.log_le - det.log_le)) <= 1e-10
@@ -431,10 +430,10 @@ class TestMomentumRoute:
         spec = ChainSpec.spin_star(N=6, lam=0.7, epsilon=0.25, J=1.3)
         ts = np.linspace(0.0, 10.0, 101)
         data = echo._BranchData(spec)
-        free = np.exp(echo._free_log_dets(data, ts))
+        free = np.exp(data.log_echo(ts))
         assert np.max(np.abs(free - np.abs(oracle.amplitude_free(spec, ts)) ** 2)) <= 1e-8
         schedule = PulseSchedule(delta_t=0.7)
-        pulsed = np.exp(echo._pulsed_log_dets(data, schedule.delta_t, ts))
+        pulsed = np.exp(data.log_echo(ts, schedule.delta_t))
         expected = np.abs(oracle.amplitude_pulsed(spec, schedule, ts)) ** 2
         assert np.max(np.abs(pulsed - expected)) <= 1e-8
 
@@ -442,11 +441,13 @@ class TestMomentumRoute:
     def test_determinant_route_matches_over_long_train(self, n):
         # up to 1500 cycles at dt = 0.01: the determinant route, forced
         # through _BranchData, against the exact momentum route, where
-        # |log L| is only about 1e-6
+        # |log L| is only about 1e-6; the same set-up gives the free series
         spec = ChainSpec.spin_star(N=n, lam=1.0, epsilon=0.01)
         dt, ts = 0.01, np.linspace(20.0, 30.0, 11)
-        det = echo._pulsed_log_dets(echo._BranchData(spec), dt, ts)
-        assert np.max(np.abs(spinstar.log_echo(spec, ts, dt) - det)) <= 1e-12
+        data = echo._BranchData(spec)
+        for delta_t in (dt, None):
+            det = data.log_echo(ts, delta_t)
+            assert np.max(np.abs(spinstar.log_echo(spec, ts, delta_t) - det)) <= 1e-12
 
     def test_route_is_picked_from_the_spec(self, monkeypatch):
         built = []
@@ -554,6 +555,28 @@ class TestEffectiveGenerator:
         high = effective_bdg(_spec(N=7, lam=1.5, links=(2, 5)), schedule)
         assert np.max(np.abs(low.C - high.C)) <= 1e-10
 
+    @pytest.mark.parametrize("spec", [
+        _spec(N=7, lam=1.3, epsilon=0.4, links=(2, 5)),
+        ChainSpec.spin_star(N=6, lam=0.7, epsilon=0.2, J=1.3),
+    ], ids=["two-links", "star"])
+    def test_is_the_commutator(self, spec):
+        # the elementwise form against the matrix products it replaces,
+        # sign included
+        schedule = PulseSchedule(delta_t=0.3)
+        cu = freefermion.build_bdg(spec, "up").C
+        cd = freefermion.build_bdg(spec, "down").C
+        expected = 1j * 0.15 * (cd @ cu - cu @ cd)
+        gen = effective_bdg(spec, schedule)
+        assert np.max(np.abs(gen.C - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_field_drops_out_exactly(self):
+        # the field sits on the diagonal of C_up, which the commutator
+        # with the diagonal C_down - C_up multiplies by exactly zero
+        schedule = PulseSchedule(delta_t=0.2)
+        low = effective_bdg(_spec(N=7, lam=0.5, epsilon=0.3, links=(2, 5)), schedule)
+        high = effective_bdg(_spec(N=7, lam=1.5, epsilon=0.3, links=(2, 5)), schedule)
+        assert np.array_equal(low.C, high.C)
+
     def test_spin_star_spectrum_is_sector_dispersion(self):
         # eigenvalues +-8 eps_eff sin(q) on the antiperiodic momenta of the
         # calibrated sector (the closed-form dispersion evaluated there)
@@ -575,24 +598,31 @@ class TestLoschmidtEffective:
             loschmidt_effective(_spec(), PulseSchedule(delta_t=0.1),
                                 TimeGrid(t_max=5.0, n_points=11))
 
-    def test_builds_only_the_up_decomposition(self, monkeypatch):
-        calls = []
-        real = echo._modes
+    def test_builds_one_branch_set_up(self, monkeypatch):
+        # the route's one set-up serves the effective echo too; the 2N
+        # reference generator is not built
+        built = []
+        real = echo._BranchData
 
-        def counting(spec, boundary_sign):
-            calls.append(boundary_sign)
-            return real(spec, boundary_sign)
+        def counting(spec):
+            built.append(spec)
+            return real(spec)
 
-        monkeypatch.setattr(echo, "_modes", counting)
-        loschmidt_effective(_spec(N=6), PulseSchedule(delta_t=0.3),
+        def refuse(*args):
+            raise AssertionError("effective_bdg called on the effective route")
+
+        monkeypatch.setattr(echo, "_BranchData", counting)
+        monkeypatch.setattr(echo, "effective_bdg", refuse)
+        spec = _spec(N=6)
+        loschmidt_effective(spec, PulseSchedule(delta_t=0.3),
                             TimeGrid(t_max=3.0, mode="cycles"))
-        assert len(calls) == 1
+        assert built == [spec]
 
     def test_odd_n_refused_before_any_build(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("effective_bdg built for odd N")
+            raise AssertionError("build_bdg called for odd N")
 
-        monkeypatch.setattr(echo, "effective_bdg", refuse)
+        monkeypatch.setattr(freefermion, "build_bdg", refuse)
         with pytest.raises(SpecError, match="even N"):
             loschmidt_effective(_spec(N=5), PulseSchedule(delta_t=0.3),
                                 TimeGrid(t_max=2.0, mode="cycles"))

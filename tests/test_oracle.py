@@ -521,7 +521,7 @@ class TestCalibrateConventions:
             for spec in specs:
                 reference_builds += 1
                 try:
-                    log_dets = echo._free_log_dets(echo._BranchData(spec, bs), ts)
+                    log_dets = echo._BranchData(spec, bs).log_echo(ts)
                 except freefermion.DegenerateFillingError:
                     worst = math.inf
                     break
@@ -551,8 +551,14 @@ class TestCalibrateConventions:
     ], ids=["none", "several"])
     def test_scan_needs_exactly_one_match(self, monkeypatch, amplitude, message):
         # every candidate gets the echo 1; the oracle reads amplitude**2
-        monkeypatch.setattr(echo, "_BranchData", lambda spec, bs: None)
-        monkeypatch.setattr(echo, "_free_log_dets", lambda data, ts: np.zeros(len(ts)))
+        class Flat:
+            def __init__(self, spec, bs):
+                pass
+
+            def log_echo(self, ts):
+                return np.zeros(len(ts))
+
+        monkeypatch.setattr(echo, "_BranchData", Flat)
         monkeypatch.setattr(oracle, "amplitude_free",
                             lambda spec, ts: np.full(len(ts), amplitude + 0j))
         with pytest.raises(CalibrationError, match=f"{message} at tol=1e-08"):

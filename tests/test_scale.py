@@ -44,7 +44,7 @@ def _outcomes(n, lam, epsilon, links, c):
         "oracle-pulsed": lambda: np.abs(oracle.amplitude_pulsed(spec, schedule, ts)) ** 2,
         # the other fermion sector has a zero mode at lam = 1, which both
         # single-particle guards refuse
-        "other-sector": lambda: echo._free_log_dets(echo._BranchData(spec, +1), ts),
+        "other-sector": lambda: echo._BranchData(spec, +1).log_echo(ts),
         "ground-correlation": lambda: freefermion.ground_correlation(
             freefermion.diagonalize(freefermion.build_bdg(spec, "up", +1))).r,
     }
