@@ -1,11 +1,12 @@
 """Brute-force exact diagonalization at small N: ground truth for everything.
 
-Dense 2^N Hamiltonians filled by bit arithmetic on the sigma^z basis
-(periodic chain, site N+1 == site 1), full spectra, exact echo
-amplitudes for free and pulsed evolution, and the convention
-calibration that pins the free-fermion path. This is deliberately
-unsophisticated: no sparsity, no fermions, no momenta, just eigh on
-dense matrices, which is exactly why it can arbitrate conventions.
+Dense Hamiltonians, the full 2^N matrix or one symmetry block of it,
+filled by bit arithmetic on the sigma^z basis (periodic chain, site
+N+1 == site 1), full spectra, exact echo amplitudes for free and pulsed
+evolution, and the convention calibration that pins the free-fermion
+path. This is deliberately unsophisticated: no sparsity, no fermions, no
+momenta, just eigh on dense matrices, which is exactly why it can
+arbitrate conventions.
 
 Two symmetries are used, both permutations of the sigma^z basis that
 read only the bits of the basis index, so the split is exact and needs
@@ -23,18 +24,24 @@ blocks.
 
 A sector's basis is one state per orbit {i, P i} with i <= P i: the
 normalized |i> + P|i> in the + sector and |i> - P|i> in the - sector,
-which holds the pairs only. Its entries are read from row i of the full
-matrix alone, w_a w_b (H[i_a, i_b] +- H[i_a, P i_b]) with w = 1/sqrt(2)
-for a fixed state (P i = i) and 1 otherwise, so each block is exactly
-symmetric. The off-diagonal entries are whole multiples of J; the
-diagonal is summed site by site, so H[P i, P i] can differ from H[i, i]
-in the last bit, and the block is exact up to that rounding. The
-eigenvalues of every up sector are computed, the degeneracy check runs
-on their merged spectrum (the full spectrum), and the sector with the
-lowest ground level is kept; both branches are decomposed in that sector
-alone. At N = 10 the sectors are 272 and 240 wide, against 512 for a
-parity block and 1024 for the full matrix. ``ground_state`` still takes
-the full matrix, and tests compare the sector amplitudes against a
+which holds the pairs only. Each block is filled straight from the
+basis bits, row a from its representative i_a alone: the diagonal of
+i_a, and for each bond the flipped state t, which is i_b or P i_b of
+one column b (or lies outside the sector and drops out). These are the
+entries w_a w_b (H[i_a, i_b] +- H[i_a, P i_b]) of the full matrix, with
+w = 1/sqrt(2) for a fixed state (P i = i) and 1 otherwise, so each
+block is exactly symmetric. The off-diagonal entries of H are whole
+multiples of J; the diagonal is summed site by site, so H[P i, P i] can
+differ from H[i, i] in the last bit, and the block is exact up to that
+rounding. The full matrix is the trivial sector, P the identity and
+every state fixed, so ``build_hamiltonian`` builds both.
+
+The eigenvalues of every up sector are computed, the degeneracy check
+runs on their merged spectrum (the full spectrum), and the sector with
+the lowest ground level is kept; both branches are decomposed in that
+sector alone. At N = 10 the sectors are 272 and 240 wide, against 512
+for a parity block and 1024 for the full matrix. ``ground_state`` still
+takes the full matrix, and tests compare the sector amplitudes against a
 full-matrix replay.
 
 This is also the only source of the complex amplitude D(t); the
@@ -48,13 +55,16 @@ of at most 272 x 272, 1.2 MB, and building the new pair while the old
 one is alive would raise the peak memory of a run over many specs by
 that much.
 
-Guarded to N <= 12. The full matrix, 8 * 4^N bytes, sets the peak: it
-is alive while the up sectors, together about a quarter of its size,
-are sliced from it, and it is dropped before any eigh runs. The peak of
-one decomposition above the interpreter is then about 10.5 * 4^N bytes
-(measured 45 MB at N = 11, 176 MB at N = 12): about 0.7 GB at N = 13
-and 2.8 GB at N = 14, which a shared machine with a few GB free may not
-survive, where N = 12 stays near 0.18 GB.
+Guarded to N <= 12. The echo path builds no 2^N x 2^N matrix: the up
+sectors are built and their levels computed one at a time, and the peak
+of one decomposition above the interpreter, the down sector's eigh while
+the up pair is held, is about 3.4 * 4^N bytes (measured 15 MB at N = 11,
+54 MB at N = 12). The guard is set by the full matrix, which
+``build_hamiltonian`` gives with no sector and ``ground_state`` takes,
+8 * 4^N bytes,
+whose eigh peaks at about 38 * 4^N bytes (measured 0.64 GB at N = 12):
+about 2.6 GB at N = 13, which a shared machine with a few GB free may
+not survive.
 """
 
 from __future__ import annotations
@@ -90,7 +100,6 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class DenseOperator:
-    dim: int
     matrix: np.ndarray
 
 
@@ -107,39 +116,56 @@ def _check_size(spec: ChainSpec) -> None:
         )
 
 
-def _spins(N: int) -> np.ndarray:
-    """sigma^z eigenvalues, shape (2^N, N): site 1 is the top bit, bit 0 = up."""
-    bits = np.arange(2 ** N)[:, None] >> np.arange(N - 1, -1, -1)
+def _spins(N: int, states: np.ndarray | None = None) -> np.ndarray:
+    """sigma^z eigenvalues of the basis states (all 2^N by default), shape
+    (len(states), N): site 1 is the top bit, bit 0 = up."""
+    states = np.arange(2 ** N) if states is None else states
+    bits = states[:, None] >> np.arange(N - 1, -1, -1)
     return 1.0 - 2.0 * (bits & 1)
 
 
-def build_hamiltonian(spec: ChainSpec, branch: str) -> DenseOperator:
-    """Dense bath Hamiltonian for one qubit branch.
+def build_hamiltonian(spec: ChainSpec, branch: str, sector: tuple | None = None
+                      ) -> DenseOperator:
+    """Dense bath Hamiltonian for one qubit branch, in full or on one sector.
 
     branch "up": -J sum_j (x_j x_{j+1} + lam z_j).
     branch "down": additionally -epsilon sum_{links} z_j.
+    sector (rows, p, sign): H on the normalized states |i> + sign P|i>,
+    i in rows, with p the map of basis indices of P and i <= p[i] for
+    each i in rows; a fixed state (p[i] = i) is |i> alone. None is the
+    full matrix: rows every state and p the identity, so every state is
+    fixed.
     """
     if branch not in ("up", "down"):
         raise SpecError(f"branch must be 'up' or 'down', got {branch!r}")
     _check_size(spec)
     N, J = spec.N, spec.J
-    dim = 2 ** N
-    z = _spins(N)
+    i = np.arange(2 ** N)
+    rows, p, sign = (i, i, 1) if sector is None else sector
+    z = _spins(N, rows)
     # summed site by site, fields before links, so the diagonal is the
     # same to the last bit as the sum of one-site operators
-    diag = np.zeros(dim)
-    for j in range(N):
-        diag -= J * spec.lam * z[:, j]
-    if branch == "down":
-        for j in spec.links:
-            diag -= spec.epsilon * z[:, j - 1]
+    fields = [(J * spec.lam, j) for j in range(1, N + 1)]
+    fields += [(spec.epsilon, j) for j in spec.links] if branch == "down" else []
+    diag = np.zeros(rows.size)
+    for c, j in fields:
+        diag -= c * z[:, j - 1]
     h = np.diag(diag)
-    rows = np.arange(dim)
-    for j in range(N):
-        # x_j x_{j+1} flips both bits; at N = 2 the two bonds coincide
-        mask = (1 << (N - 1 - j)) | (1 << (N - 1 - (j + 1) % N))
-        h[rows, rows ^ mask] -= J
-    return DenseOperator(dim=dim, matrix=h)
+    a = np.arange(rows.size)
+    index = np.zeros(2 ** N, dtype=np.intp)
+    index[rows] = index[p[rows]] = a
+    # bond j, x_j x_{j+1}, flips both bits of row a into t[j, a]; at N = 2
+    # the two bonds coincide
+    j = np.arange(N)[:, None]
+    t = rows ^ (1 << (N - 1 - j)) ^ (1 << (N - 1 - (j + 1) % N))
+    b = index[t]
+    # t is the representative of column b, its image, or (coefficient 0) a
+    # state outside the sector. w_a w_b as 0.5 ** (half_a + half_b): exactly
+    # 1/2 for two fixed states, so a flip of the full matrix is -J * 2 * 1/2
+    half = np.where(p[rows] == rows, 0.5, 0.0)
+    flips = J * ((rows[b] == t) + sign * (p[rows[b]] == t)) * 0.5 ** (half + half[b])
+    np.subtract.at(h, (a, b), flips)  # unbuffered, bond by bond in order
+    return DenseOperator(matrix=h)
 
 
 def _check_gap(evals: np.ndarray) -> None:
@@ -194,31 +220,21 @@ class _Spectral:
     """
 
     def __init__(self, spec: ChainSpec):
+        _check_size(spec)  # before the first 2^N array
         i = np.arange(2 ** spec.N)
         p = _reflection(spec)
         p = i if p is None else p  # no axis: every state is fixed, the parity blocks
         even = _spins(spec.N).prod(axis=1) > 0
-        sectors = [(np.flatnonzero(block & m), sign) for block in (even, ~even)
+        sectors = [(np.flatnonzero(block & m), p, sign) for block in (even, ~even)
                    for sign, m in ((1, i <= p), (-1, i < p)) if (block & m).any()]
-
-        def sliced(h, rows, sign):
-            # w_a w_b as 0.5 ** (half_a + half_b), exactly 1/2 for two
-            # fixed states, so a parity block is sliced bit for bit
-            half = np.where(p[rows] == rows, 0.5, 0.0)
-            return ((h[np.ix_(rows, rows)] + sign * h[np.ix_(rows, p[rows])])
-                    * 0.5 ** (half[:, None] + half))
-
-        h = build_hamiltonian(spec, "up").matrix
-        up = [sliced(h, *s) for s in sectors]
-        del h  # sliced: the full matrix goes before any eigh runs
-        levels = [np.linalg.eigvalsh(x) for x in up]
+        # one block alive at a time: the kept up sector is built again below
+        levels = [np.linalg.eigvalsh(build_hamiltonian(spec, "up", sector).matrix)
+                  for sector in sectors]
         _check_gap(np.sort(np.concatenate(levels)))
         k = int(np.argmin([e[0] for e in levels]))  # the sector with the lowest ground level
-        self.rows, self.sign = sectors[k]
-        self.eu, self.vu = np.linalg.eigh(up[k])
-        del up
-        self.ed, self.vd = np.linalg.eigh(sliced(build_hamiltonian(spec, "down").matrix,
-                                                 *sectors[k]))
+        self.rows, _, self.sign = sectors[k]
+        self.eu, self.vu = np.linalg.eigh(build_hamiltonian(spec, "up", sectors[k]).matrix)
+        self.ed, self.vd = np.linalg.eigh(build_hamiltonian(spec, "down", sectors[k]).matrix)
         self.g = self.vu[:, 0]
 
     def evolve(self, branch: str, t: float, state: np.ndarray) -> np.ndarray:

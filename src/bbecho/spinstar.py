@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainSpec, PulseSchedule, SpecError
+from .model import ChainSpec, PulseSchedule, SpecError, _as_int
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class EffectiveCoupling:
 
 
 def _check_even(N: int) -> int:
-    n = int(N)
+    n = _as_int("N", N)
     if n < 2 or n % 2:
         raise SpecError(f"N must be even and at least 2, got {N!r}")
     return n

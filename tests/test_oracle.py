@@ -106,7 +106,7 @@ class TestBuildHamiltonian:
         assert abs(e_dense - freefermion.ground_energy(d)) <= 1e-8
 
     def test_size_guard(self):
-        # N = 13 would need about 0.7 GB even in reflection sectors; the guard
+        # the full matrix at N = 13 is 0.5 GB before its eigh; the guard
         # refuses before any 2^N array is allocated
         spec = ChainSpec(N=13, lam=1.0, epsilon=0.1, links=(1,))
         with pytest.raises(OracleSizeError, match="N <= 12"):
@@ -376,6 +376,58 @@ class TestParityBlock:
         sign = np.sign(lifted @ block)
         assert np.max(np.abs(sign * lifted - block)) <= 1e-12
 
+    @pytest.mark.parametrize("spec", _BLOCK_SPECS)
+    def test_sector_blocks_are_the_full_matrix_sliced(self, spec):
+        # w_a w_b (H[i_a, i_b] + sign H[i_a, P i_b]) with w = 1/sqrt(2) for a
+        # fixed state, read from the full matrix, equals the block filled
+        # from the basis bits to the last bit
+        i = np.arange(2 ** spec.N)
+        p = oracle._reflection(spec)
+        p = i if p is None else p
+        even = oracle._spins(spec.N).prod(axis=1) > 0
+        for branch in ("up", "down"):
+            h = build_hamiltonian(spec, branch).matrix
+            for block, sign in itertools.product((even, ~even), (1, -1)):
+                rows = np.flatnonzero(block & ((i <= p) if sign == 1 else (i < p)))
+                half = np.where(p[rows] == rows, 0.5, 0.0)
+                sliced = ((h[np.ix_(rows, rows)] + sign * h[np.ix_(rows, p[rows])])
+                          * 0.5 ** (half[:, None] + half))
+                np.testing.assert_array_equal(
+                    build_hamiltonian(spec, branch, (rows, p, sign)).matrix, sliced)
+
+    def test_no_full_matrix_on_the_echo_path(self, monkeypatch):
+        spec = ChainSpec(N=8, lam=1.0, epsilon=0.25, links=(1,))
+        schedule, ts = PulseSchedule(delta_t=0.45), np.linspace(0.0, 6.0, 13)
+        dims = []
+        original = oracle.build_hamiltonian
+
+        def recording(*args):
+            h = original(*args)
+            dims.append(h.matrix.shape[0])
+            return h
+
+        monkeypatch.setattr(oracle, "build_hamiltonian", recording)
+        monkeypatch.setattr(oracle, "_held", [])
+        amplitude_free(spec, ts)
+        monkeypatch.setattr(oracle, "_held", [])
+        amplitude_pulsed(spec, schedule, ts)
+        assert dims and max(dims) < 2 ** spec.N
+
+    @pytest.mark.parametrize("kind", ["free", "pulsed"])
+    def test_size_guard_before_any_2n_array(self, monkeypatch, kind):
+        def refuse(*args):
+            raise AssertionError("2^N array built before the size guard")
+
+        monkeypatch.setattr(oracle, "_held", [])
+        monkeypatch.setattr(oracle, "_reflection", refuse)
+        monkeypatch.setattr(oracle, "_spins", refuse)
+        spec = ChainSpec(N=13, lam=1.0, epsilon=0.25, links=(1,))
+        with pytest.raises(OracleSizeError, match="N <= 12"):
+            if kind == "free":
+                amplitude_free(spec, [0.5])
+            else:
+                amplitude_pulsed(spec, PulseSchedule(delta_t=0.5), [0.5])
+
 
 class TestHeldDecomposition:
     """amplitude_free and amplitude_pulsed share the last spec's eigh pair."""
@@ -385,9 +437,10 @@ class TestHeldDecomposition:
         built, inits = [], []
         original_build, original_init = oracle.build_hamiltonian, oracle._Spectral.__init__
 
-        def counting_build(spec, branch):
-            built.append(spec)
-            return original_build(spec, branch)
+        def counting_build(spec, branch, sector=None):
+            assert sector is not None, "full 2^N matrix built"
+            built.append((spec, branch))
+            return original_build(spec, branch, sector)
 
         def counting_init(self, spec):
             inits.append(spec)
@@ -396,10 +449,12 @@ class TestHeldDecomposition:
         monkeypatch.setattr(oracle, "build_hamiltonian", counting_build)
         monkeypatch.setattr(oracle._Spectral, "__init__", counting_init)
         rows = cli.oracle_check_suite()
-        # a free and two pulsed rows per spec, but one decomposition
+        # a free and two pulsed rows per spec, but one decomposition: each
+        # spec's blocks are built in one run, the kept down sector once
         assert len(rows) == 72
         assert len(inits) == len(set(inits)) == 24
-        assert len(built) == 48
+        assert [spec for spec, _ in itertools.groupby(s for s, _ in built)] == inits
+        assert [s for s, branch in built if branch == "down"] == inits
 
     @pytest.mark.parametrize("kind", ["one", "star"])
     def test_held_pair_at_n10_fits_in_1_2_mb(self, monkeypatch, kind):
@@ -436,13 +491,13 @@ class TestHeldDecomposition:
         alive_at_build = []
         original = oracle.build_hamiltonian
 
-        def recording(spec, branch):
+        def recording(*args):
             alive_at_build.append(held_a() is not None)
-            return original(spec, branch)
+            return original(*args)
 
         monkeypatch.setattr(oracle, "build_hamiltonian", recording)
         amplitude_free(replace(a, epsilon=0.4), [0.5])
-        assert alive_at_build == [False, False]
+        assert alive_at_build and not any(alive_at_build)
         assert held_a() is None
 
 

@@ -41,6 +41,20 @@ class TestModes:
         with pytest.raises(SpecError):
             modes(7, 1.0)
 
+    @pytest.mark.parametrize("n", [4.5, 6.9, 8.7])
+    @pytest.mark.parametrize("call", [
+        lambda n: modes(n, 1.0),
+        lambda n: amplitude_closed_form(n, 0.01, 1.0),
+        lambda n: log_echo_closed_form(n, 0.01, [1.0]),
+        gamma_coefficient,
+        lambda n: gaussian_envelope(n, 0.01, 1.0),
+    ], ids=["modes", "amplitude_closed_form", "log_echo_closed_form",
+            "gamma_coefficient", "gaussian_envelope"])
+    def test_fractional_n_rejected(self, call, n):
+        # not truncated to the even chain below it
+        with pytest.raises(SpecError, match="N must be an integer"):
+            call(n)
+
     def test_bogoliubov_angle(self):
         ms = modes(8, 1.0)
         for m in ms:
