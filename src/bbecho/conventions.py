@@ -12,7 +12,8 @@ definition alone and were calibrated once against exact diagonalization:
   overlap, with no further squaring.
 
 Neither is an input to the echo. The sector is the default argument of
-``freefermion.build_bdg``, which only the calibration overrides, and the
+``freefermion.build_bdg`` and ``freefermion.ring_modes``, which only the
+calibration overrides, and the
 determinant route takes log|det| as log L with no power; the pair is the
 target the calibration must reproduce.
 

@@ -43,10 +43,21 @@ energy (N/2 of them on every spec tried). A link set that no reflection
 maps to itself, such as (1, 2, 4) at N = 6, takes V = 1, the whole 2N
 space, and the power 1.
 
-In the sector a branch is one real eigh, V^T C V = X diag(e) X^T, its
-evolution e^{+iCt} is the diagonal phase E(t) = diag(e^{+iet}) in its
-eigenbasis, and the two bases differ by the real orthogonal
-K = X_up^T X_down, formed once per spec with one Newton-Schulz step.
+In the sector a branch is V^T C V = X diag(e) X^T, its evolution
+e^{+iCt} is the diagonal phase E(t) = diag(e^{+iet}) in its eigenbasis,
+and the two bases differ by the real orthogonal K = X_up^T X_down. The
+up branch is the bare ring, whose modes are known in closed form
+(freefermion.ring_modes): X_up holds the sector images V^T w of its
+standing waves w, and as each column of V is e_j or
+(e_j +- e_{s-j}) / sqrt(2), they are index arithmetic. C_down differs
+from C_up by a diagonal delta on the link sites, so in the up eigenbasis
+it is diag(e_up) + Z^T diag(delta) Z, Z the link rows of V X_up, and one
+real eigh of that matrix gives e_down and K itself, which gets one
+Newton-Schulz step. So the set-up forms no 2N x 2N matrix: the closed
+form and the index arithmetic are O(N^2), and one eigh of the sector
+size is most of the cost. At N = 100 with one link it takes about
+1.7 ms, 1.0 of them in the eigh, where two eigh and two V^T C V products
+took 3.8 ms (2 vCPUs, numpy with OpenBLAS).
 With Q the filled rows of K, a free point is
 
     |det(W^H e^{+iC_up t} e^{-iC_down t} W)| = |det(Q E_down(-t) Q^T)|,
@@ -167,32 +178,65 @@ class EchoSeries:
         return tuple(EchoPoint(*row) for row in self.rows())
 
 
-def _sector(spec: ChainSpec, boundary_sign: int) -> tuple[np.ndarray, int]:
-    """The sector columns V and the power of the sector determinant.
+def _sector(spec: ChainSpec,
+            boundary_sign: int) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """The sector columns V as (index, weight), and the power of the
+    sector determinant.
 
-    V (2N x N, real, orthonormal) spans U = +1 for the first axis s whose
-    reflection j -> s - j (mod N) maps the link set to itself; with no
-    such axis V is the identity and the power 1.
+    Column c of V (2N x D, real, orthonormal) is
+    weight[0][c] e_{index[0][c]} + weight[1][c] e_{index[1][c]} over the
+    2N rows: (e_j + d e_{s-j}) / sqrt(2) for an orbit {j, s - j} of either
+    half, with d its sign in U, and e_j for a fixed site where U is +1.
+    The columns span U = +1 for the first axis s whose reflection
+    j -> s - j (mod N) maps the link set to itself; with no such axis U is
+    the identity, V the whole space and the power 1.
     """
     n, sites = spec.N, np.arange(spec.N)
+    rows = np.arange(2 * n)
     links = {j - 1 for j in spec.links}
     axis = next((s for s in range(n) if {(s - j) % n for j in links} == links), None)
     if axis is None:
-        return np.eye(2 * n), 1
-    image = (axis - sites) % n
-    # bond (j, j+1) maps onto bond (s-j-1, s-j), so d_{j+1} = d_j times
-    # the product of their signs; the walk closes, as every sign occurs twice
-    bond = np.where(sites == n - 1, float(boundary_sign), 1.0)
-    steps = bond * bond[(axis - sites - 1) % n]
-    signs = np.cumprod(np.concatenate(([1.0], steps[:-1])))
-    # U = diag(Pi, -Pi) takes site j of either half to s - j, with sign +-d_j
-    perm = np.eye(2 * n)[:, np.concatenate([image, image + n])]
-    projector = 0.5 * (np.eye(2 * n) + perm * np.concatenate([signs, -signs]))
-    # one column per orbit {j, s - j} and half, of squared norm its diagonal
-    # entry; a fixed site gives one column, the other is zero
-    norm2 = projector.diagonal()
-    keep = np.concatenate([sites <= image] * 2) & (norm2 > 0)
-    return projector[:, keep] / np.sqrt(norm2[keep]), 2
+        image, signs, power = rows, np.ones(2 * n), 1
+    else:
+        # bond (j, j+1) maps onto bond (s-j-1, s-j), so d_{j+1} = d_j times
+        # the product of their signs; the walk closes, as every sign occurs twice
+        bond = np.where(sites == n - 1, float(boundary_sign), 1.0)
+        steps = bond * bond[(axis - sites - 1) % n]
+        d = np.cumprod(np.concatenate(([1.0], steps[:-1])))
+        # U = diag(Pi, -Pi) takes site j of either half to s - j, with sign +-d_j
+        half = (axis - sites) % n
+        image, signs, power = np.concatenate([half, half + n]), np.concatenate([d, -d]), 2
+    # one column per orbit, the image of e_j under (1 + U) / 2, of squared
+    # norm its diagonal entry; a fixed site of sign -1 gives none
+    norm2 = 0.5 * (1.0 + signs * (image == rows))
+    keep = (rows <= image) & (norm2 > 0)
+    weight = 0.5 / np.sqrt(norm2[keep])
+    return ((rows[keep], image[keep]), (weight, signs[keep] * weight)), power
+
+
+def _up_modes(spec: ChainSpec, boundary_sign: int, columns: tuple,
+              paired: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The up branch in the sector columns (index, weight) of _sector: its
+    ascending energies e and orthonormal eigenvectors x, V^T C_up V x = x diag(e).
+
+    They are the images V^T w of the bare ring's standing waves w
+    (freefermion.ring_modes), normalised. Where U is a reflection
+    (paired), it maps the span of the two waves of a (q, +-E) pair onto
+    itself with one eigenvalue +1 and one -1, so their images are parallel
+    and the larger has squared norm at least 1/2: it is kept, the other
+    not. At q = 0 and pi a wave is wholly in the sector or out of it, and
+    a zero image is dropped. With no axis every nonzero wave is kept.
+    """
+    index, weight = columns
+    e, waves = freefermion.ring_modes(spec, boundary_sign)
+    images = weight[0][:, None] * waves[index[0]] + weight[1][:, None] * waves[index[1]]
+    norm2 = (images * images).sum(axis=0)
+    if paired:
+        larger = np.arange(0, len(e), 2) + (norm2[1::2] > norm2[::2])
+        e, images, norm2 = e[larger], images[:, larger], norm2[larger]
+    kept = np.flatnonzero(norm2 > 0.25)
+    order = kept[np.argsort(e[kept], kind="stable")]
+    return e[order], images[:, order] / np.sqrt(norm2[order])
 
 
 def _unitarized(x: np.ndarray) -> np.ndarray:
@@ -217,10 +261,14 @@ class _BranchData:
     e_up and e_down are the ascending mode energies of V^T C V in each
     branch, with V and the power of the sector determinant from _sector;
     k = X_up^T X_down is the real change of basis between their
-    eigenvectors after one Newton-Schulz step (the product of two float64
-    eigh bases is orthogonal only to about 1e-15, and that error, powered
-    over a long train, would set the drift of the echo); filled is the
-    number of filled up modes, the first rows of k. log_echo serves the
+    eigenvectors; filled is the number of filled up modes, the first rows
+    of k. The up branch comes from the bare ring's closed form
+    (_up_modes), and e_down and k from one eigh of the down branch in the
+    up eigenbasis, diag(e_up) + Z^T diag(delta) Z, so a field costs
+    O(N^2) and one eigh of the sector size, with no build_bdg and no 2N
+    matrix (see the module docstring). k gets one Newton-Schulz step: an eigh basis is orthogonal
+    only to about 1e-15, and that error, powered over a long train, would
+    set the drift of the echo. log_echo serves the
     free series and every pulsed series of the field, and
     loschmidt_effective forms its generator from the same fields.
 
@@ -234,13 +282,22 @@ class _BranchData:
     def __init__(self, spec: ChainSpec, boundary_sign: int = BOUNDARY_SIGN):
         if spec.N % 2:
             raise SpecError(f"the determinant echo needs even N, got N={spec.N}")
-        v, self.power = _sector(spec, boundary_sign)
-        c_up = freefermion.build_bdg(spec, "up", boundary_sign).C
-        self.e_up, x_up = np.linalg.eigh(v.T @ c_up @ v)
+        (index, weight), self.power = _sector(spec, boundary_sign)
+        self.e_up, x_up = _up_modes(spec, boundary_sign, (index, weight), self.power == 2)
         self.filled = freefermion.filled_count(self.e_up)
-        c_down = freefermion.build_bdg(spec, "down", boundary_sign).C
-        self.e_down, x_down = np.linalg.eigh(v.T @ c_down @ v)
-        self.k = _unitarized(x_up.T @ x_down)
+        # C_down - C_up is diagonal: -2 epsilon on the link sites of the
+        # first half, +2 epsilon on those of the second. In the up
+        # eigenbasis it is z^T diag(delta) z, z = V[rows] x_up the link rows
+        # of the up modes, so the eigenvectors of diag(e_up) + z^T diag(delta) z
+        # are X_up^T X_down itself
+        sites = np.subtract(spec.links, 1)
+        rows = np.concatenate([sites, sites + spec.N])
+        delta = np.repeat([-2.0 * spec.epsilon, 2.0 * spec.epsilon], len(sites))
+        v_rows = ((index[0] == rows[:, None]) * weight[0]
+                  + (index[1] == rows[:, None]) * weight[1])
+        z = v_rows @ x_up
+        self.e_down, k = np.linalg.eigh(np.diag(self.e_up) + z.T @ (delta[:, None] * z))
+        self.k = _unitarized(k)
 
     def log_echo(self, ts, delta_t: float | None = None) -> list[float]:
         """log L at the times ts, free or pulsed every delta_t.

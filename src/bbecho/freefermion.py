@@ -45,9 +45,11 @@ logarithm.
 ``propagator`` and ``gaussian_overlap`` evaluate the 2N x 2N form
 directly and serve as the reference. The echo module evaluates the
 occupied-subspace form in a symmetry sector of the ring: where a
-reflection maps the link set to itself, each branch is one real N x N
-eigh and the echo is the square of a determinant of size N/2; where none
-does, it works over the whole 2N space. The effective echo works in
+reflection maps the link set to itself, each branch is N x N and the
+echo is the square of a determinant of size N/2; where none does, it
+works over the whole 2N space. There the up branch comes from the bare
+ring's closed form, ``ring_modes``, and the down branch from one eigh in
+its eigenbasis. The effective echo works in
 the same sector decomposition of both branches, in the up eigenbasis,
 where the filled sea is the first basis vectors.
 """
@@ -115,6 +117,11 @@ class Propagator:
     sign: int
 
 
+def _check_sector(boundary_sign: int) -> None:
+    if isinstance(boundary_sign, bool) or boundary_sign not in (-1, 1):
+        raise SpecError(f"boundary_sign must be +1 or -1, got {boundary_sign!r}")
+
+
 def build_bdg(spec: ChainSpec, branch: str,
               boundary_sign: int = BOUNDARY_SIGN) -> BdGMatrix:
     """Assemble the A, B blocks and C for one qubit branch.
@@ -125,8 +132,7 @@ def build_bdg(spec: ChainSpec, branch: str,
     """
     if branch not in ("up", "down"):
         raise SpecError(f"branch must be 'up' or 'down', got {branch!r}")
-    if isinstance(boundary_sign, bool) or boundary_sign not in (-1, 1):
-        raise SpecError(f"boundary_sign must be +1 or -1, got {boundary_sign!r}")
+    _check_sector(boundary_sign)
     N, J = spec.N, spec.J
     eps_site = np.zeros(N)
     if branch == "down":
@@ -149,6 +155,43 @@ def build_bdg(spec: ChainSpec, branch: str,
 
     C = np.block([[A, B], [-B, -A]])
     return BdGMatrix(N=N, A=A, B=B, C=C)
+
+
+def ring_modes(spec: ChainSpec,
+               boundary_sign: int = BOUNDARY_SIGN) -> tuple[np.ndarray, np.ndarray]:
+    """The bare ring's modes in closed form: the energies e and the 2N x 4Q
+    standing waves of C_up (Lieb, Schultz and Mattis, 1961).
+
+    The bare ring is translation invariant, so its modes sit on the
+    sector's momenta q = pi k / N in [0, pi], k odd for boundary_sign -1
+    and even for +1, at e = +-2J |lam + e^{iq}|. With c_j = cos(q j),
+    s_j = sin(q j) over the sites j and theta = arg(-(lam + cos q) + i sin q),
+    C maps (c, 0), (0, s) onto each other and (s, 0), (0, c) likewise, and
+    each q gives the columns, u on the first N rows and v on the second,
+        +E: ( cos(theta/2) c, -sin(theta/2) s),  ( cos(theta/2) s, sin(theta/2) c),
+        -E: ( sin(theta/2) c,  cos(theta/2) s),  (-sin(theta/2) s, cos(theta/2) c),
+    in pairs of equal energy. The columns are orthonormal, except at q = 0
+    and pi, where s = 0 and one column of each pair is zero. The spec's
+    links and epsilon do not enter: this is the up branch alone.
+    """
+    _check_sector(boundary_sign)
+    n = spec.N
+    k = np.arange((1 - boundary_sign) // 2, n + 1, 2)
+    # e^{i pi r / N}, with e^{i pi} exactly -1, so that q = pi pairs nothing
+    # and its energy is exact
+    phase = np.exp(1j * np.pi / n * np.arange(2 * n))
+    phase[n] = -1.0
+    x, y = spec.lam + phase[k].real, phase[k].imag
+    # (cos(theta/2), sin(theta/2)) at each q, times the norm of the waves,
+    # as the float64 view of one complex number, and e^{+-iqj} at every site, whose views
+    # are (c, s) and (c, -s); 1j e^{+-iqj} are (-s, c) and (s, c)
+    scale = np.sqrt(np.where((k == 0) | (k == n), 1.0, 2.0) / n)
+    cs = (scale * np.exp(0.5j * np.arctan2(y, -x))).view(np.float64).reshape(-1, 2)
+    z = phase[np.arange(n)[:, None, None] * (k[:, None] * [1, -1]) % (2 * n)]
+    u = (z * cs).view(np.float64)
+    v = (z * (1j * cs[:, ::-1])).view(np.float64)
+    e = 2.0 * spec.J * np.hypot(x, y)
+    return np.outer(e, [1.0, 1.0, -1.0, -1.0]).ravel(), np.concatenate([u, v]).reshape(2 * n, -1)
 
 
 def diagonalize(m: BdGMatrix) -> SpectralDecomp:

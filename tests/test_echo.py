@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,17 @@ class TestOccupiedSubspaceKernel:
                 assert abs(p.log_le - log_value) <= 1e-10
 
 
+def _dense_sector(spec, boundary_sign):
+    """The sector columns V, 2N x D, and the power, rebuilt densely from
+    the index form of echo._sector."""
+    (index, weight), power = echo._sector(spec, boundary_sign)
+    v = np.zeros((2 * spec.N, len(weight[0])))
+    cols = np.arange(v.shape[1])
+    for rows, w in zip(index, weight):
+        v[rows, cols] += w
+    return v, power
+
+
 class TestReflectionSector:
     """The sector that the spec picks, checked on its own terms."""
 
@@ -203,7 +216,7 @@ class TestReflectionSector:
     @pytest.mark.parametrize("n, links", _AXES.values(), ids=_AXES.keys())
     def test_reflection_commutes_with_both_branches(self, n, links, boundary_sign):
         spec = ChainSpec(N=n, lam=0.7, epsilon=0.25, links=links)
-        v, power = echo._sector(spec, boundary_sign)
+        v, power = _dense_sector(spec, boundary_sign)
         assert power == 2 and v.shape == (2 * n, n)
         np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-15)
         # U = 2 V V^T - 1, up to rounding a signed permutation diag(Pi, -Pi)
@@ -222,7 +235,7 @@ class TestReflectionSector:
     def test_link_set_without_axis_takes_the_whole_space(self):
         n, links = _NO_AXIS
         spec = ChainSpec(N=n, lam=0.8, epsilon=0.25, links=links)
-        v, power = echo._sector(spec, -1)
+        v, power = _dense_sector(spec, -1)
         assert power == 1 and np.array_equal(v, np.eye(2 * n))
         data = echo._BranchData(spec)
         assert (data.power, data.filled) == (1, n)
@@ -233,6 +246,63 @@ class TestReflectionSector:
         pulsed = np.exp(data.log_echo(ts, schedule.delta_t))
         expected = np.abs(oracle.amplitude_pulsed(spec, schedule, ts)) ** 2
         assert np.max(np.abs(pulsed - expected)) <= 1e-8
+
+
+class TestUpModesClosedForm:
+    """The up branch from the bare ring's closed form, mapped into the
+    sector, against the dense sector matrix V^T C_up V of build_bdg."""
+
+    @pytest.mark.parametrize("boundary_sign", [1, -1], ids=["periodic", "antiperiodic"])
+    @pytest.mark.parametrize("links, sizes", [
+        ((1,), range(2, 41, 2)), ((1, 2), range(2, 41, 2)), ((1, 7), range(8, 41, 2)),
+        (_NO_AXIS[1], (_NO_AXIS[0],)),
+    ], ids=["1", "1-2", "1-7", "no-axis"])
+    def test_diagonalizes_the_dense_sector_matrix(self, links, sizes, boundary_sign):
+        for n, lam in itertools.product(sizes, (0.0, 0.3, 1.0, 1.7)):
+            spec = ChainSpec(N=n, lam=lam, epsilon=0.25, links=links)
+            v, power = _dense_sector(spec, boundary_sign)
+            columns, _ = echo._sector(spec, boundary_sign)
+            e, x = echo._up_modes(spec, boundary_sign, columns, power == 2)
+            sector = v.T @ build_bdg(spec, "up", boundary_sign).C @ v
+            dim = n if power == 2 else 2 * n
+            assert e.shape == (dim,) and x.shape == (dim, dim)
+            tol = 1e-13 * np.max(np.abs(e))
+            assert np.all(np.diff(e) >= 0.0)
+            assert np.max(np.abs(e - np.linalg.eigvalsh(sector))) <= tol, (n, lam)
+            assert np.max(np.abs(x.T @ x - np.eye(dim))) <= 1e-13, (n, lam)
+            assert np.max(np.abs(sector @ x - x * e)) <= tol, (n, lam)
+
+    def test_zero_mode_at_pi_refuses_the_periodic_sector(self):
+        # at lam = 1 the +1 sector holds q = pi, where 2J |lam + e^{iq}| is
+        # exactly zero; the calibration counts on this refusal
+        spec = ChainSpec(N=4, lam=1.0, epsilon=0.25, links=(1,))
+        columns, power = echo._sector(spec, +1)
+        e, _ = echo._up_modes(spec, +1, columns, power == 2)
+        assert np.min(np.abs(e)) == 0.0
+        with pytest.raises(freefermion.DegenerateFillingError):
+            echo._BranchData(spec, +1)
+
+    @pytest.mark.parametrize("sign", [2, 0, True])
+    def test_sector_other_than_plus_minus_one_rejected(self, sign):
+        with pytest.raises(SpecError, match="boundary_sign"):
+            echo._BranchData(_spec(N=6), sign)
+
+    @pytest.mark.parametrize("links", [(1,), _NO_AXIS[1]], ids=["axis", "no-axis"])
+    def test_one_eigh_and_no_bdg_per_field(self, monkeypatch, links):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        def refuse(*args):
+            raise AssertionError("build_bdg called by _BranchData")
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(freefermion, "build_bdg", refuse)
+        data = echo._BranchData(_spec(N=6, lam=0.8, links=links))
+        assert calls == [(len(data.e_up),) * 2]
 
 
 def _extended_replay(data, dt, ts, reorthogonalize=False):
@@ -620,9 +690,10 @@ class TestLoschmidtEffective:
 
     def test_odd_n_refused_before_any_build(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("build_bdg called for odd N")
+            raise AssertionError("a branch built for odd N")
 
         monkeypatch.setattr(freefermion, "build_bdg", refuse)
+        monkeypatch.setattr(freefermion, "ring_modes", refuse)
         with pytest.raises(SpecError, match="even N"):
             loschmidt_effective(_spec(N=5), PulseSchedule(delta_t=0.3),
                                 TimeGrid(t_max=2.0, mode="cycles"))
