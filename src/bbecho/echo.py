@@ -29,35 +29,35 @@ j -> s - j (mod N) of the ring maps the link set to itself. Site signs
 d_j, found by walking the ring bond by bond so that the boundary bond
 keeps its sector sign, make it a signed permutation Pi with
 Pi A Pi^T = A and Pi B Pi^T = -B in both branches. Then U = diag(Pi, -Pi)
-commutes with C_up, C_down and every string S, and the real 2N x N
-columns V that span U = +1 reduce each branch to the N x N matrix
-V^T C V. Particle-hole conjugation maps the U = +1 sector onto U = -1,
-its filled modes onto the empty ones of the other sector, and S onto
-conj(S). So the determinant splits into the sector determinant and its
-complementary minor, which have equal magnitude for a unitary S, and
+commutes with C_up, C_down and every string S, and so does the projector
+P_+ = (1 + U) / 2 onto its sector U = +1, of dimension N. Particle-hole
+conjugation maps the U = +1 sector onto U = -1, its filled modes onto
+the empty ones of the other sector, and S onto conj(S). So the
+determinant splits into the sector determinant and its complementary
+minor, which have equal magnitude for a unitary S, and
 
     L = |det(W_+^H S_+ W_+)|^2,
 
 with W_+ the filled modes of the sector, the eigenvectors of negative
 energy (N/2 of them on every spec tried). A link set that no reflection
-maps to itself, such as (1, 2, 4) at N = 6, takes V = 1, the whole 2N
+maps to itself, such as (1, 2, 4) at N = 6, takes P_+ = 1, the whole 2N
 space, and the power 1.
 
-In the sector a branch is V^T C V = X diag(e) X^T, its evolution
-e^{+iCt} is the diagonal phase E(t) = diag(e^{+iet}) in its eigenbasis,
-and the two bases differ by the real orthogonal K = X_up^T X_down. The
-up branch is the bare ring, whose modes are known in closed form
-(freefermion.ring_modes): X_up holds the sector images V^T w of its
-standing waves w, and as each column of V is e_j or
-(e_j +- e_{s-j}) / sqrt(2), they are index arithmetic. C_down differs
-from C_up by a diagonal delta on the link sites, so in the up eigenbasis
-it is diag(e_up) + Z^T diag(delta) Z, Z the link rows of V X_up, and one
-real eigh of that matrix gives e_down and K itself, which gets one
-Newton-Schulz step. So the set-up forms no 2N x 2N matrix: the closed
-form and the index arithmetic are O(N^2), and one eigh of the sector
+In the sector a branch is C = X diag(e) X^T, X its D orthonormal modes
+over the 2N rows, its evolution e^{+iCt} is the diagonal phase
+E(t) = diag(e^{+iet}) in its eigenbasis, and the two bases differ by the
+real orthogonal K = X_up^T X_down. The up branch is the bare ring, whose
+modes are known in closed form (freefermion.ring_modes): X_up holds the
+normalized projections P_+ w of its standing waves w, and as U is a
+signed permutation, P_+ w = (w + U w) / 2 is a signed gather of rows. C_down
+differs from C_up by a diagonal delta on the link sites, so in the up
+eigenbasis it is diag(e_up) + Z^T diag(delta) Z, Z the link rows of
+X_up, and one real eigh of that matrix gives e_down and K itself, which
+gets one Newton-Schulz step. So the set-up forms no 2N x 2N matrix: the
+closed form and the projection are O(N^2), and one eigh of the sector
 size is most of the cost. At N = 100 with one link it takes about
-1.7 ms, 1.0 of them in the eigh, where two eigh and two V^T C V products
-took 3.8 ms (2 vCPUs, numpy with OpenBLAS).
+1.7 ms, 1.0 of them in the eigh, where two eigh and two products with
+the sector basis took 3.8 ms (2 vCPUs, numpy with OpenBLAS).
 With Q the filled rows of K, a free point is
 
     |det(W^H e^{+iC_up t} e^{-iC_down t} W)| = |det(Q E_down(-t) Q^T)|,
@@ -118,8 +118,7 @@ sea is the first filled basis vectors. Its entries are
 
 and with its eigenvalues w and eigenvectors Y the effective point is
 |det(L diag(e^{+iwt}) L^H)| to the same power, L the filled rows of Y.
-It needs no 2N matrix and no V: the set-up of the free and pulsed echo
-serves it.
+It needs no 2N matrix: the set-up of the free and pulsed echo serves it.
 
 For fast pulsing the echo is predicted by the effective generator
 C_eff = i (dt/2) [C_down, C_up], whose entries do not depend on the
@@ -178,26 +177,27 @@ class EchoSeries:
         return tuple(EchoPoint(*row) for row in self.rows())
 
 
-def _sector(spec: ChainSpec,
-            boundary_sign: int) -> tuple[tuple[np.ndarray, np.ndarray], int]:
-    """The sector columns V as (index, weight), and the power of the
-    sector determinant.
+def _up_modes(spec: ChainSpec,
+              boundary_sign: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The up branch in the symmetry sector of the spec: its ascending
+    energies e, its orthonormal modes x over the 2N rows,
+    C_up x = x diag(e), and the power of the sector determinant.
 
-    Column c of V (2N x D, real, orthonormal) is
-    weight[0][c] e_{index[0][c]} + weight[1][c] e_{index[1][c]} over the
-    2N rows: (e_j + d e_{s-j}) / sqrt(2) for an orbit {j, s - j} of either
-    half, with d its sign in U, and e_j for a fixed site where U is +1.
-    The columns span U = +1 for the first axis s whose reflection
-    j -> s - j (mod N) maps the link set to itself; with no such axis U is
-    the identity, V the whole space and the power 1.
+    The modes are the projections P_+ w / |P_+ w| of the bare ring's
+    standing waves w (freefermion.ring_modes), P_+ = (1 + U) / 2 the
+    projector onto U = +1 for the reflection j -> s - j (mod N) of
+    spec.reflection_axis (see the module docstring).
+    U maps the span of the two waves of a (q, +-E) pair onto itself with
+    one eigenvalue +1 and one -1, so their projections are parallel and
+    the larger has squared norm at least 1/2: it is kept, the other not.
+    At q = 0 and pi a wave is wholly in the sector or out of it, and a
+    zero projection is dropped. With no axis P_+ is the identity, every
+    nonzero wave is kept and the power is 1.
     """
     n, sites = spec.N, np.arange(spec.N)
-    rows = np.arange(2 * n)
-    links = {j - 1 for j in spec.links}
-    axis = next((s for s in range(n) if {(s - j) % n for j in links} == links), None)
-    if axis is None:
-        image, signs, power = rows, np.ones(2 * n), 1
-    else:
+    e, waves = freefermion.ring_modes(spec, boundary_sign)
+    axis = spec.reflection_axis
+    if axis is not None:
         # bond (j, j+1) maps onto bond (s-j-1, s-j), so d_{j+1} = d_j times
         # the product of their signs; the walk closes, as every sign occurs twice
         bond = np.where(sites == n - 1, float(boundary_sign), 1.0)
@@ -205,38 +205,15 @@ def _sector(spec: ChainSpec,
         d = np.cumprod(np.concatenate(([1.0], steps[:-1])))
         # U = diag(Pi, -Pi) takes site j of either half to s - j, with sign +-d_j
         half = (axis - sites) % n
-        image, signs, power = np.concatenate([half, half + n]), np.concatenate([d, -d]), 2
-    # one column per orbit, the image of e_j under (1 + U) / 2, of squared
-    # norm its diagonal entry; a fixed site of sign -1 gives none
-    norm2 = 0.5 * (1.0 + signs * (image == rows))
-    keep = (rows <= image) & (norm2 > 0)
-    weight = 0.5 / np.sqrt(norm2[keep])
-    return ((rows[keep], image[keep]), (weight, signs[keep] * weight)), power
-
-
-def _up_modes(spec: ChainSpec, boundary_sign: int, columns: tuple,
-              paired: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The up branch in the sector columns (index, weight) of _sector: its
-    ascending energies e and orthonormal eigenvectors x, V^T C_up V x = x diag(e).
-
-    They are the images V^T w of the bare ring's standing waves w
-    (freefermion.ring_modes), normalised. Where U is a reflection
-    (paired), it maps the span of the two waves of a (q, +-E) pair onto
-    itself with one eigenvalue +1 and one -1, so their images are parallel
-    and the larger has squared norm at least 1/2: it is kept, the other
-    not. At q = 0 and pi a wave is wholly in the sector or out of it, and
-    a zero image is dropped. With no axis every nonzero wave is kept.
-    """
-    index, weight = columns
-    e, waves = freefermion.ring_modes(spec, boundary_sign)
-    images = weight[0][:, None] * waves[index[0]] + weight[1][:, None] * waves[index[1]]
-    norm2 = (images * images).sum(axis=0)
-    if paired:
+        image, signs = np.concatenate([half, half + n]), np.concatenate([d, -d])
+        waves = 0.5 * (waves + signs[:, None] * waves[image])
+        norm2 = (waves * waves).sum(axis=0)
         larger = np.arange(0, len(e), 2) + (norm2[1::2] > norm2[::2])
-        e, images, norm2 = e[larger], images[:, larger], norm2[larger]
+        e, waves = e[larger], waves[:, larger]
+    norm2 = (waves * waves).sum(axis=0)
     kept = np.flatnonzero(norm2 > 0.25)
     order = kept[np.argsort(e[kept], kind="stable")]
-    return e[order], images[:, order] / np.sqrt(norm2[order])
+    return e[order], waves[:, order] / np.sqrt(norm2[order]), 1 if axis is None else 2
 
 
 def _unitarized(x: np.ndarray) -> np.ndarray:
@@ -258,44 +235,44 @@ class _BranchData:
     """The determinant route's set-up: both branches of one fermion sector
     in the symmetry sector of the spec, built once per field.
 
-    e_up and e_down are the ascending mode energies of V^T C V in each
-    branch, with V and the power of the sector determinant from _sector;
+    e_up and e_down are the ascending mode energies of each branch in the
+    sector, and power is that of the sector determinant;
     k = X_up^T X_down is the real change of basis between their
     eigenvectors; filled is the number of filled up modes, the first rows
     of k. The up branch comes from the bare ring's closed form
     (_up_modes), and e_down and k from one eigh of the down branch in the
     up eigenbasis, diag(e_up) + Z^T diag(delta) Z, so a field costs
     O(N^2) and one eigh of the sector size, with no build_bdg and no 2N
-    matrix (see the module docstring). k gets one Newton-Schulz step: an eigh basis is orthogonal
-    only to about 1e-15, and that error, powered over a long train, would
-    set the drift of the echo. log_echo serves the
-    free series and every pulsed series of the field, and
+    matrix (see the module docstring). k gets one Newton-Schulz step: an
+    eigh basis is orthogonal only to about 1e-15, and that error, powered
+    over a long train, would set the drift of the echo. log_echo serves
+    the free series and every pulsed series of the field, and
     loschmidt_effective forms its generator from the same fields.
 
     Raises SpecError for odd N, where the calibrated antiperiodic sector
     misses the oracle echo (by 8e-4 to 5e-2 at N = 3, 5, 7, one link,
     Jt <= 10). The filled modes are the negative ones, counted by
     freefermion.filled_count, which raises DegenerateFillingError where
-    that choice is ambiguous.
+    that choice is ambiguous. That guard sees the fermion levels of one
+    sector only, not a degenerate spin ground level: there, as at
+    lam = 0 or at lam = 1e-3 with N = 8, this route returns the echo of
+    the even-parity ground state (prod sigma^z = +1, the antiperiodic
+    sector's vacuum), while the oracle raises DegenerateGroundStateError.
     """
 
     def __init__(self, spec: ChainSpec, boundary_sign: int = BOUNDARY_SIGN):
         if spec.N % 2:
             raise SpecError(f"the determinant echo needs even N, got N={spec.N}")
-        (index, weight), self.power = _sector(spec, boundary_sign)
-        self.e_up, x_up = _up_modes(spec, boundary_sign, (index, weight), self.power == 2)
+        self.e_up, x_up, self.power = _up_modes(spec, boundary_sign)
         self.filled = freefermion.filled_count(self.e_up)
         # C_down - C_up is diagonal: -2 epsilon on the link sites of the
         # first half, +2 epsilon on those of the second. In the up
-        # eigenbasis it is z^T diag(delta) z, z = V[rows] x_up the link rows
-        # of the up modes, so the eigenvectors of diag(e_up) + z^T diag(delta) z
+        # eigenbasis it is z^T diag(delta) z, z the link rows of the up
+        # modes, so the eigenvectors of diag(e_up) + z^T diag(delta) z
         # are X_up^T X_down itself
         sites = np.subtract(spec.links, 1)
-        rows = np.concatenate([sites, sites + spec.N])
+        z = x_up[np.concatenate([sites, sites + spec.N])]
         delta = np.repeat([-2.0 * spec.epsilon, 2.0 * spec.epsilon], len(sites))
-        v_rows = ((index[0] == rows[:, None]) * weight[0]
-                  + (index[1] == rows[:, None]) * weight[1])
-        z = v_rows @ x_up
         self.e_down, k = np.linalg.eigh(np.diag(self.e_up) + z.T @ (delta[:, None] * z))
         self.k = _unitarized(k)
 
@@ -425,8 +402,10 @@ def _log_dets(spec: ChainSpec) -> Callable[..., np.ndarray | list[float]]:
     The route's set-up is built here, once per spec, and its log_echo
     serves every series f is asked for: spinstar._PairProblems on the
     momentum route, _BranchData on the determinant route. On the
-    determinant route log L is log|det|: the calibrated determinant
-    exponent is 1 (conventions.DET_EXPONENT).
+    determinant route log L is power times the log|det| of the sector,
+    2 log|det_+| where a reflection axis exists: the log|det| of the
+    whole 2N string, on which the calibrated exponent
+    conventions.DET_EXPONENT is 1.
     """
     return (spinstar._PairProblems if route(spec) == "momentum" else _BranchData)(spec).log_echo
 

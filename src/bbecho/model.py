@@ -102,6 +102,18 @@ class ChainSpec:
         """Number of coupled sites."""
         return len(self.links)
 
+    @property
+    def reflection_axis(self) -> Optional[int]:
+        """The first s in 0..N-1 whose reflection j -> s - j (mod N) of the
+        ring maps the 0-based link set to itself, or None where no s does.
+
+        The reflection is a symmetry of both qubit branches, so the
+        determinant route and the oracle both split the echo by it.
+        """
+        links = {j - 1 for j in self.links}
+        return next((s for s in range(self.N)
+                     if {(s - j) % self.N for j in links} == links), None)
+
 
 def validate(spec: ChainSpec) -> ChainSpec:
     """Re-run normalization on a spec (idempotent by construction)."""

@@ -14,7 +14,8 @@ no tolerance. The first is the spin parity prod_j sigma^z_j: every term
 of either branch Hamiltonian is diagonal in the sigma^z basis or flips
 two bits, so both commute with it. The second is a site reflection P,
 j -> s - j (mod N), for the first axis s that maps the link set to
-itself (the oracle finds it on its own, not through the fermion routes).
+itself, ``ChainSpec.reflection_axis``, which the determinant route
+reads too.
 It maps ring bonds to ring bonds and the uniform field to itself, leaves
 the link field unchanged, and commutes with the parity. So the echo
 never leaves the sector of the bare-bath ground state |G>: a parity
@@ -194,13 +195,12 @@ def ground_magnetization(spec: ChainSpec) -> np.ndarray:
 def _reflection(spec: ChainSpec) -> np.ndarray | None:
     """The site reflection P as a map of basis indices, or None.
 
-    The axis is the first s whose reflection j -> s - j (mod N) maps the
-    0-based link set to itself; entry i of the map is the index of the
-    state i with the spin of each site j moved to site s - j.
+    The axis is spec.reflection_axis, the first s whose reflection
+    j -> s - j (mod N) maps the 0-based link set to itself; entry i of the
+    map is the index of the state i with the spin of each site j moved to
+    site s - j.
     """
-    n, i = spec.N, np.arange(2 ** spec.N)
-    links = {j - 1 for j in spec.links}
-    axis = next((s for s in range(n) if {(s - j) % n for j in links} == links), None)
+    n, i, axis = spec.N, np.arange(2 ** spec.N), spec.reflection_axis
     if axis is None:
         return None
     # site j is bit N-1-j of the index, as _spins reads it

@@ -198,45 +198,44 @@ class TestOccupiedSubspaceKernel:
                 assert abs(p.log_le - log_value) <= 1e-10
 
 
-def _dense_sector(spec, boundary_sign):
-    """The sector columns V, 2N x D, and the power, rebuilt densely from
-    the index form of echo._sector."""
-    (index, weight), power = echo._sector(spec, boundary_sign)
-    v = np.zeros((2 * spec.N, len(weight[0])))
-    cols = np.arange(v.shape[1])
-    for rows, w in zip(index, weight):
-        v[rows, cols] += w
-    return v, power
+def _swap_halves(m):
+    """tau m tau, with tau the particle-hole swap of the two halves of the
+    2N rows and columns."""
+    n = len(m) // 2
+    swap = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+    return m[np.ix_(swap, swap)]
 
 
 class TestReflectionSector:
-    """The sector that the spec picks, checked on its own terms."""
+    """The sector that the spec picks, checked in the whole 2N space
+    against the dense matrices of build_bdg: its modes x span a subspace
+    that both branches keep."""
 
     @pytest.mark.parametrize("boundary_sign", [1, -1], ids=["periodic", "antiperiodic"])
     @pytest.mark.parametrize("n, links", _AXES.values(), ids=_AXES.keys())
     def test_reflection_commutes_with_both_branches(self, n, links, boundary_sign):
         spec = ChainSpec(N=n, lam=0.7, epsilon=0.25, links=links)
-        v, power = _dense_sector(spec, boundary_sign)
-        assert power == 2 and v.shape == (2 * n, n)
-        np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-15)
-        # U = 2 V V^T - 1, up to rounding a signed permutation diag(Pi, -Pi)
-        u = np.rint(2.0 * v @ v.T - np.eye(2 * n))
-        np.testing.assert_allclose(u, 2.0 * v @ v.T - np.eye(2 * n), atol=1e-15)
-        pi = u[:n, :n]
-        assert np.array_equal(u, np.block([[pi, 0 * pi], [0 * pi, -pi]]))
-        assert np.array_equal(np.abs(pi).sum(axis=0), np.ones(n))
-        assert np.array_equal(pi @ pi, np.eye(n))
+        _, x, power = echo._up_modes(spec, boundary_sign)
+        assert power == 2 and x.shape == (2 * n, n)
+        np.testing.assert_allclose(x.T @ x, np.eye(n), atol=1e-13)
+        projector = x @ x.T
         for branch in ("up", "down"):
             c = build_bdg(spec, branch, boundary_sign).C
-            assert np.array_equal(u @ c, c @ u)
+            commutator = projector @ c - c @ projector
+            assert np.max(np.abs(commutator)) <= 1e-13 * np.max(np.abs(c)), branch
+        # particle-hole conjugation maps the sector onto its complement
+        np.testing.assert_allclose(projector + _swap_halves(projector), np.eye(2 * n),
+                                   atol=1e-13)
         if boundary_sign == -1:
             assert echo._BranchData(spec).filled == n // 2
 
     def test_link_set_without_axis_takes_the_whole_space(self):
         n, links = _NO_AXIS
         spec = ChainSpec(N=n, lam=0.8, epsilon=0.25, links=links)
-        v, power = _dense_sector(spec, -1)
-        assert power == 1 and np.array_equal(v, np.eye(2 * n))
+        assert spec.reflection_axis is None
+        _, x, power = echo._up_modes(spec, -1)
+        assert power == 1 and x.shape == (2 * n, 2 * n)
+        np.testing.assert_allclose(x @ x.T, np.eye(2 * n), atol=1e-13)
         data = echo._BranchData(spec)
         assert (data.power, data.filled) == (1, n)
         ts = np.linspace(0.0, 10.0, 41)
@@ -249,8 +248,8 @@ class TestReflectionSector:
 
 
 class TestUpModesClosedForm:
-    """The up branch from the bare ring's closed form, mapped into the
-    sector, against the dense sector matrix V^T C_up V of build_bdg."""
+    """The up branch from the bare ring's closed form, projected into the
+    sector, against the dense 2N x 2N matrix C_up of build_bdg."""
 
     @pytest.mark.parametrize("boundary_sign", [1, -1], ids=["periodic", "antiperiodic"])
     @pytest.mark.parametrize("links, sizes", [
@@ -260,24 +259,24 @@ class TestUpModesClosedForm:
     def test_diagonalizes_the_dense_sector_matrix(self, links, sizes, boundary_sign):
         for n, lam in itertools.product(sizes, (0.0, 0.3, 1.0, 1.7)):
             spec = ChainSpec(N=n, lam=lam, epsilon=0.25, links=links)
-            v, power = _dense_sector(spec, boundary_sign)
-            columns, _ = echo._sector(spec, boundary_sign)
-            e, x = echo._up_modes(spec, boundary_sign, columns, power == 2)
-            sector = v.T @ build_bdg(spec, "up", boundary_sign).C @ v
+            e, x, power = echo._up_modes(spec, boundary_sign)
+            c = build_bdg(spec, "up", boundary_sign).C
             dim = n if power == 2 else 2 * n
-            assert e.shape == (dim,) and x.shape == (dim, dim)
+            assert power == (1 if links == _NO_AXIS[1] else 2)
+            assert e.shape == (dim,) and x.shape == (2 * n, dim)
             tol = 1e-13 * np.max(np.abs(e))
             assert np.all(np.diff(e) >= 0.0)
-            assert np.max(np.abs(e - np.linalg.eigvalsh(sector))) <= tol, (n, lam)
+            # the sector holds one of each +-e pair of the 2N spectrum
+            spectrum = np.sort(np.concatenate([e, -e])) if power == 2 else e
+            assert np.max(np.abs(spectrum - np.linalg.eigvalsh(c))) <= tol, (n, lam)
             assert np.max(np.abs(x.T @ x - np.eye(dim))) <= 1e-13, (n, lam)
-            assert np.max(np.abs(sector @ x - x * e)) <= tol, (n, lam)
+            assert np.max(np.abs(c @ x - x * e)) <= tol, (n, lam)
 
     def test_zero_mode_at_pi_refuses_the_periodic_sector(self):
         # at lam = 1 the +1 sector holds q = pi, where 2J |lam + e^{iq}| is
         # exactly zero; the calibration counts on this refusal
         spec = ChainSpec(N=4, lam=1.0, epsilon=0.25, links=(1,))
-        columns, power = echo._sector(spec, +1)
-        e, _ = echo._up_modes(spec, +1, columns, power == 2)
+        e, _, _ = echo._up_modes(spec, +1)
         assert np.min(np.abs(e)) == 0.0
         with pytest.raises(freefermion.DegenerateFillingError):
             echo._BranchData(spec, +1)

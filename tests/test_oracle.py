@@ -285,9 +285,8 @@ _BLOCK_SPECS = [
 
 
 def _has_axis(spec: ChainSpec) -> bool:
-    """Whether a reflection of the ring maps the link set to itself, as
-    the determinant route decides it: its sector determinant is squared."""
-    return echo._sector(spec, conventions.BOUNDARY_SIGN)[1] == 2
+    """Whether a reflection of the ring maps the link set to itself."""
+    return spec.reflection_axis is not None
 
 
 # link sets of the check suite and of these tests, at every N that has their sites
@@ -343,14 +342,19 @@ class TestParityBlock:
             h = build_hamiltonian(spec, branch).matrix
             assert np.max(np.abs(h[np.ix_(p, p)] - h)) <= 1e-14 * np.max(np.abs(h))
 
-    @pytest.mark.parametrize("n", range(2, 10))
-    def test_axis_found_where_the_determinant_route_squares(self, n):
-        # each module finds its own axis; neither imports the other's rule
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_reflection_axis_is_the_first_that_maps_the_links(self, n):
         link_sets = [links for links in _CROSS_LINKS if max(links) <= n]
         link_sets += [tuple(range(1, n + 1)), (1, n // 2 + 1)]
         for links in link_sets:
             spec = ChainSpec(N=n, lam=1.0, epsilon=0.25, links=links)
-            assert (oracle._reflection(spec) is not None) == _has_axis(spec), links
+            # site j (1-based) goes to s + 2 - j, read as a site of the ring
+            axes = [s for s in range(n)
+                    if sorted((s + 1 - j) % n + 1 for j in links) == list(spec.links)]
+            assert spec.reflection_axis == (axes[0] if axes else None), links
+        if n == 6:
+            assert ChainSpec(N=6, lam=1.0, epsilon=0.25,
+                             links=(1, 2, 4)).reflection_axis is None
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
