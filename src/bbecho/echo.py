@@ -90,24 +90,35 @@ after it.
 
 One pulsed series is one _PulseTrain, which holds everything the series
 carries from point to point: the rows R^T, the ladder of cycle powers
-and the residual factor that depends on M alone. A point (log_det) then
-costs one product with K, the product b^T E_up(alpha) a and one LU of
-the filled size, and one more product with K where the held factor does
-not serve it: at a new M, or on the other side of the mid-cycle pulse.
-K is real, so each product with it is one real product on the float64
-view of the complex D x n columns, a real D x 2n array: half the
-arithmetic of casting K to complex. With D the sector dimension and n
-the filled modes, a point costs 4 D^2 n flop for the product with K,
-8 n^2 D for b^T E_up(alpha) a and 8/3 n^3 for the LU; at N = 100
-(D = 100, n = 50) that is 2.0 + 2.0 + 0.33 Mflop, and 2.0 more where
-the held factor does not serve it. Between points the rows advance by
-the exact integer number of cycles d through a binary ladder of held
-powers (G^T)^(2^j), one product per set bit of d. Each held power, and
-the rows after every jump, get one Newton-Schulz step X (3 - X^H X) / 2,
-so the rounding of K, of the squarings and of the jumps does not build
-up into a drift of the echo over long trains. The ladder grows only to
-the bit length of the largest jump, so at most log2(M) + 1 powers are
-held.
+and the residual factor that depends on M alone. K is real, so each
+product with it is one real product on the float64 view of the complex
+D x n columns, a real D x 2n array: half the arithmetic of casting K to
+complex. With D the sector dimension and n the filled modes, a product
+with K costs 4 D^2 n flop, a complex product with a held power 8 D^2 n,
+b^T E_up(alpha) a 8 n^2 D, a Newton-Schulz step on the rows 16 n^2 D and
+the LU 8/3 n^3; at N = 100 (D = 100, n = 50) that is 2.0, 4.0, 2.0, 4.0
+and 0.33 Mflop.
+
+A point (log_det) costs one product with K, the product
+b^T E_up(alpha) a and one LU, 4.3 Mflop at N = 100, and one more product
+with K, 2.0 Mflop, where the held factor does not serve it. Between
+points the rows advance by the exact integer number of cycles d. The
+bits of d above the lowest take one product each with a binary ladder of
+held powers (G^T)^(2^j), j >= 1. An odd d ends in one cycle through the
+after-pulse held factor, as two real products with K:
+K R'^T = E_up(dt) (K E_down(dt) R^T), then R'^T = K^T (K R'^T). It costs
+as much as a ladder product, 4.0 Mflop, or 2.0 where the point before it
+held K E_down(dt) R^T, and it leaves conj(K R'^T), the before-pulse held
+factor of the new M, with no product. Each held power gets one
+Newton-Schulz step X (3 - X^H X) / 2 and the rows get one at the end of
+the jump that brings the products since their last step to four (on
+K R'^T, before K^T multiplies it, where the jump ends in the fused
+cycle), so the rounding of K, of the squarings and of the jumps does
+not build up into a drift of the echo over long trains. On 51 points
+with t <= 50, a point costs on average 6.8 Mflop at dt = 1.0, 11.2 at
+dt = 0.3 and 14.2 at dt = 0.1, where a step and a ladder product per set
+bit of every jump cost 10.3, 14.2 and 18.1. The ladder grows only to the
+bit length of the largest jump, so at most log2(M) + 1 powers are held.
 
 The effective generator C_eff below commutes with U too, so it is
 taken in the sector, and there in the up eigenbasis of _BranchData,
@@ -214,6 +225,19 @@ def _up_modes(spec: ChainSpec,
     kept = np.flatnonzero(norm2 > 0.25)
     order = kept[np.argsort(e[kept], kind="stable")]
     return e[order], waves[:, order] / np.sqrt(norm2[order]), 1 if axis is None else 2
+
+
+# The rows' Newton-Schulz step runs at the end of the jump that brings the
+# products since the last one to this many. At N = 100, one link,
+# lam = 1.5 and dt = 0.1, the rows' Gram matrix deviated from 1 by at most
+# 9.6e-15 after any of 248 one-cycle jumps at 4 and by 1.6e-14 at 8,
+# against 4.4e-16 with a step after every jump. Over 51 points with
+# t <= 50 at lam = 1, log L stayed within 6.0e-14 of the extended-precision
+# replay at 4, and reached 7.9e-14 at 8 and 1.1e-13 at 16. There a step
+# every 4 products took the pulsed kernel from 122 to 100 ms summed over
+# dt = 0.1, 0.2, 0.3, 0.5, 0.7 and 1.0, where the fused odd cycle alone
+# gave 118 ms (2 vCPUs, numpy with OpenBLAS).
+_STEP_EVERY = 4
 
 
 def _unitarized(x: np.ndarray) -> np.ndarray:
@@ -326,40 +350,65 @@ class _PulseTrain:
     G^T = K^T E_up(dt) K E_down(dt), and the residual factor that depends
     on m and the side of the mid-cycle pulse alone, with its key
     (m, first); a series at ascending times asks for each key in one run.
-    Each held power gets one Newton-Schulz step, so rounding in K and in
-    the squarings does not build up into a drift of the echo over long
-    trains, and so do the rows after every jump: without it their Gram
-    matrix drifted by about 1e-15 per product, 2e-13 after 248 one-cycle
-    jumps at N = 100, which moved log L by 1.6e-12. The ladder grows only
-    as far as the largest jump asks, so a series whose rows reach M cycles
-    holds at most M.bit_length() matrices.
+    An odd jump ends in one cycle through the after-pulse held factor,
+    reused where its key is (m - 1, False), and leaves the before-pulse
+    one of the new m. Each held power gets one Newton-Schulz step, so
+    rounding in K and in the squarings does not build up into a drift of
+    the echo over long trains, and so do the rows once every _STEP_EVERY
+    products: with no step their Gram matrix drifted by 1e-15 to 2e-15
+    per product, 2e-13 after 248 one-cycle jumps at N = 100, which moved
+    log L by 1.6e-12. The ladder grows only as far as the largest jump
+    asks, so a series whose rows reach M cycles holds at most
+    M.bit_length() matrices.
 
     K multiplies the rows, and the cycle, as one real product on their
     float64 view (_real_times); the rows are kept C-ordered so that the
-    view needs no copy. A point costs 4.3 Mflop at N = 100, 6.3 where
-    the held factor is rebuilt (see the module docstring).
+    view needs no copy. At N = 100 a point costs 4.3 Mflop, 6.3 where the
+    held factor is rebuilt, and a jump 4.0 Mflop per product, with a
+    4.0 Mflop step every fourth product (see the module docstring).
     """
 
     def __init__(self, data: _BranchData, dt: float):
         self.data, self.dt = data, dt
-        cycle = _real_times(data.k.T, np.exp(1j * data.e_up * dt)[:, None] * data.k)
+        self.up_phase = np.exp(1j * data.e_up * dt)[:, None]
+        cycle = _real_times(data.k.T, self.up_phase * data.k)
         self.powers = [_unitarized(cycle * np.exp(1j * data.e_down * dt))]
         self.rows = data.k[:data.filled].T.astype(complex, order="C")
-        self.m, self.held = 0, (None, None)
+        self.m, self.held, self.products = 0, (None, None), 0
 
     def advance(self, m: int) -> None:
-        """Carry the rows forward to m >= self.m cycles, one product per
-        set bit of the jump, and give them one Newton-Schulz step."""
-        cycles, j = m - self.m, 0
+        """Carry the rows forward to m >= self.m cycles: one product per
+        set bit of the jump above the lowest, then, for an odd jump, the
+        last cycle through the after-pulse held factor. The rows get a
+        Newton-Schulz step at the end of the jump once _STEP_EVERY
+        products have run since their last one."""
+        jump = m - self.m
+        cycles, j = jump >> 1, 1
         while cycles:
             if j == len(self.powers):
                 self.powers.append(_unitarized(self.powers[-1] @ self.powers[-1]))
             if cycles & 1:
                 self.rows = self.powers[j] @ self.rows
+                self.products += 1
             cycles >>= 1
             j += 1
-        if m != self.m:
+        self.products += jump & 1
+        due = self.products >= _STEP_EVERY
+        if jump & 1:
+            # K R'^T = E_up(dt) K E_down(dt) R^T, then R'^T = K^T (K R'^T);
+            # held keys never pass self.m, so (m - 1, False) is fresh only
+            # where the ladder did not move the rows
+            after = (self.held[1] if self.held[0] == (m - 1, False)
+                     else self._k_rows(self.dt))
+            k_rows = self.up_phase * after
+            if due:
+                k_rows = _unitarized(k_rows)
+            self.rows = _real_times(self.data.k.T, k_rows)
+            self.held = ((m, True), k_rows.conj())
+        elif due:
             self.rows = _unitarized(self.rows)
+        if due:
+            self.products = 0
         self.m = m
 
     def _k_rows(self, x: float) -> np.ndarray:

@@ -380,13 +380,18 @@ class TestCycleJumps:
 
     def test_rows_stay_orthonormal_over_one_cycle_jumps(self):
         # without a Newton-Schulz step on the rows, 248 one-cycle jumps at
-        # N = 100 drifted their Gram matrix by 2e-13 and log L by 1.6e-12
-        train = echo._PulseTrain(echo._BranchData(ChainSpec(
-            N=100, lam=1.5, epsilon=0.25, links=(1,))), 0.1)
-        for m in range(1, 249):
-            train.advance(m)
-        gram = train.rows.conj().T @ train.rows
-        assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-14
+        # N = 100 drifted their Gram matrix by 2e-13 and log L by 1.6e-12.
+        # The rows get a step only every few products, so the bound is
+        # checked after every jump, not only where a step fell. Jumps of
+        # 5 cycles, as dt = 0.1 takes on a grid of step 1.0, run up the
+        # ladder and then through the held factor
+        data = echo._BranchData(ChainSpec(N=100, lam=1.5, epsilon=0.25, links=(1,)))
+        for jump in (1, 5):
+            train = echo._PulseTrain(data, 0.1)
+            for m in range(jump, 248 * jump + 1, jump):
+                train.advance(m)
+                gram = train.rows.conj().T @ train.rows
+                assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-14, (jump, m)
 
     def test_long_train_drift_is_bounded(self):
         # 2.5 * 10^6 cycles at dt = 1e-5: the drift against the replay stays
@@ -400,6 +405,64 @@ class TestCycleJumps:
         # Newton-Schulz steps leave no drift of their own
         exact = _extended_replay(data, dt, ts, reorthogonalize=True)
         assert np.max(np.abs(log_le - exact)) <= 1e-11
+
+    @staticmethod
+    def _series_cli_steps(monkeypatch, dt):
+        """The rows' Newton-Schulz steps, the whole-cycle products a binary
+        ladder needs and the reads of the held powers over one pulsed
+        series shaped like a series-cli job: N = 100, one link, 51 points
+        on t <= 50."""
+        spec = ChainSpec(N=100, lam=1.0, epsilon=0.25, links=(1,))
+        ts = np.linspace(0.0, 50.0, 51)
+        data = echo._BranchData(spec)
+        shapes, reads = [], []
+        unitarized = echo._unitarized
+
+        def counting(x):
+            shapes.append(x.shape)
+            return unitarized(x)
+
+        class Reads(list):
+            def __getitem__(self, j):
+                reads.append(j)
+                return super().__getitem__(j)
+
+        class Watched(echo._PulseTrain):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.powers = Reads(self.powers)
+
+        monkeypatch.setattr(echo, "_unitarized", counting)
+        monkeypatch.setattr(echo, "_PulseTrain", Watched)
+        data.log_echo(ts, dt)
+        jumps = np.diff(PulseSchedule(dt).split(ts)[0]).astype(int)
+        products = sum(bin(d).count("1") for d in jumps.tolist())
+        # the ladder's steps act on D x D matrices (the set-up ran unwatched)
+        rows = shapes.count((len(data.e_up), data.filled))
+        assert rows + shapes.count((len(data.e_up),) * 2) == len(shapes)
+        return rows, products, reads
+
+    @pytest.mark.parametrize("dt", [1.0, 0.1])
+    def test_rows_step_every_fourth_product(self, monkeypatch, dt):
+        rows, products, _ = self._series_cli_steps(monkeypatch, dt)
+        assert products > 0
+        assert rows <= -(-products // 4)
+
+    def test_one_cycle_jumps_pass_through_the_held_factor(self, monkeypatch):
+        # at dt = 1.0 on a grid of step 1.0 every jump is one cycle
+        _, products, reads = self._series_cli_steps(monkeypatch, 1.0)
+        assert products == 25
+        assert reads == []
+
+    @pytest.mark.parametrize("dt", [0.1, 1.0])
+    def test_series_cli_train_matches_the_replay(self, dt):
+        # a whole series-cli series at N = 100, checked at every 5th point
+        # against the extended-precision replay with K made orthogonal
+        data = echo._BranchData(ChainSpec(N=100, lam=1.0, epsilon=0.25, links=(1,)))
+        ts = np.linspace(0.0, 50.0, 51)
+        log_le = np.array(data.log_echo(ts, dt))[5::5]
+        exact = _extended_replay(data, dt, ts[5::5], reorthogonalize=True)
+        assert np.max(np.abs(log_le - exact)) <= 1e-13
 
 
 class TestRealProduct:
