@@ -13,11 +13,13 @@ definition alone and were calibrated once against exact diagonalization:
 
 Neither is an input to the echo. The sector is the default argument of
 ``freefermion.build_bdg`` and ``freefermion.ring_modes``, which only the
-calibration overrides. The determinant route returns power times the
-log|det| of its symmetry sector, 2 log|det_+| wherever a reflection axis
-exists, which is the log|det| over the doubled space; ``DET_EXPONENT``
-is the exponent the calibration puts on that log L. The pair is the
-target the calibration must reproduce.
+calibration overrides. In ``ring_modes`` it picks the momenta, and with
+them the sign e^{iqN} that a standing wave picks up round the ring, so
+the reflection sector needs no sign of its own. The determinant route
+returns power times the log|det| of its symmetry sector, 2 log|det_+|
+wherever a reflection axis exists, which is the log|det| over the
+doubled space; ``DET_EXPONENT`` is the exponent the calibration puts on
+that log L. The pair is the target the calibration must reproduce.
 
 ``ensure`` re-derives the pair from scratch (small-N exact
 diagonalization) and raises any result other than the frozen constants

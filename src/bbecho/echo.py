@@ -25,14 +25,19 @@ occupied subspace, |det(W^H S W)| for the propagator string S, with W
 the N filled modes of the up branch (see the freefermion module). The
 kernel works in one symmetry sector, which the spec alone picks, as it
 picks the route. Take the first axis s for which the reflection
-j -> s - j (mod N) of the ring maps the link set to itself. Site signs
-d_j, found by walking the ring bond by bond so that the boundary bond
-keeps its sector sign, make it a signed permutation Pi with
-Pi A Pi^T = A and Pi B Pi^T = -B in both branches. Then U = diag(Pi, -Pi)
-commutes with C_up, C_down and every string S, and so does the projector
-P_+ = (1 + U) / 2 onto its sector U = +1, of dimension N. Particle-hole
-conjugation maps the U = +1 sector onto U = -1, its filled modes onto
-the empty ones of the other sector, and S onto conj(S). So the
+j -> s - j (mod N) of the ring maps the link set to itself
+(ChainSpec.reflection_axis), and centre the bare ring's standing waves
+on it: c_j = cos(q (j - s/2)) is even under the reflection and
+s_j = sin(q (j - s/2)) odd, where a wave that wraps round the ring
+picks up e^{iqN}, the sign of the boundary bond in the fermion sector.
+Call Pi the reflection with those wrap signs on the sites. It maps the
+hopping block A of both branches onto itself and the pairing block B,
+odd under it, onto -B, so U = diag(Pi, -Pi) commutes with C_up, C_down
+and every string S. Its sector U = +1, of dimension N, is spanned by
+the columns (a c, b s), c on the first N rows and s on the second, and
+U = -1 by the columns (a s, b c). Particle-hole conjugation swaps the
+two halves, so it maps the U = +1 sector onto U = -1, its filled modes
+onto the empty ones of the other sector, and S onto conj(S). So the
 determinant splits into the sector determinant and its complementary
 minor, which have equal magnitude for a unitary S, and
 
@@ -40,24 +45,24 @@ minor, which have equal magnitude for a unitary S, and
 
 with W_+ the filled modes of the sector, the eigenvectors of negative
 energy (N/2 of them on every spec tried). A link set that no reflection
-maps to itself, such as (1, 2, 4) at N = 6, takes P_+ = 1, the whole 2N
-space, and the power 1.
+maps to itself, such as (1, 2, 4) at N = 6, takes the whole 2N space
+and the power 1.
 
 In the sector a branch is C = X diag(e) X^T, X its D orthonormal modes
 over the 2N rows, its evolution e^{+iCt} is the diagonal phase
 E(t) = diag(e^{+iet}) in its eigenbasis, and the two bases differ by the
 real orthogonal K = X_up^T X_down. The up branch is the bare ring, whose
 modes are known in closed form (freefermion.ring_modes): X_up holds the
-normalized projections P_+ w of its standing waves w, and as U is a
-signed permutation, P_+ w = (w + U w) / 2 is a signed gather of rows. C_down
-differs from C_up by a diagonal delta on the link sites, so in the up
+sector's standing waves (a c, b s), one of each energy, normalized by
+the closed form's own scale. C_down differs from C_up by a diagonal
+delta on the link sites, so in the up
 eigenbasis it is diag(e_up) + Z^T diag(delta) Z, Z the link rows of
 X_up, and one real eigh of that matrix gives e_down and K itself, which
 gets one Newton-Schulz step. So the set-up forms no 2N x 2N matrix: the
-closed form and the projection are O(N^2), and one eigh of the sector
-size is most of the cost. At N = 100 with one link it takes about
-1.7 ms, 1.0 of them in the eigh, where two eigh and two products with
-the sector basis took 3.8 ms (2 vCPUs, numpy with OpenBLAS).
+closed form is O(N^2), and one eigh of the sector size is most of the
+cost. At N = 100 with one link it takes about 1.4 ms, where the waves
+take 0.15 ms; two eigh and two products with the sector basis took
+3.8 ms (2 vCPUs, numpy with OpenBLAS).
 With Q the filled rows of K, a free point is
 
     |det(W^H e^{+iC_up t} e^{-iC_down t} W)| = |det(Q E_down(-t) Q^T)|,
@@ -188,45 +193,6 @@ class EchoSeries:
         return tuple(EchoPoint(*row) for row in self.rows())
 
 
-def _up_modes(spec: ChainSpec,
-              boundary_sign: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The up branch in the symmetry sector of the spec: its ascending
-    energies e, its orthonormal modes x over the 2N rows,
-    C_up x = x diag(e), and the power of the sector determinant.
-
-    The modes are the projections P_+ w / |P_+ w| of the bare ring's
-    standing waves w (freefermion.ring_modes), P_+ = (1 + U) / 2 the
-    projector onto U = +1 for the reflection j -> s - j (mod N) of
-    spec.reflection_axis (see the module docstring).
-    U maps the span of the two waves of a (q, +-E) pair onto itself with
-    one eigenvalue +1 and one -1, so their projections are parallel and
-    the larger has squared norm at least 1/2: it is kept, the other not.
-    At q = 0 and pi a wave is wholly in the sector or out of it, and a
-    zero projection is dropped. With no axis P_+ is the identity, every
-    nonzero wave is kept and the power is 1.
-    """
-    n, sites = spec.N, np.arange(spec.N)
-    e, waves = freefermion.ring_modes(spec, boundary_sign)
-    axis = spec.reflection_axis
-    if axis is not None:
-        # bond (j, j+1) maps onto bond (s-j-1, s-j), so d_{j+1} = d_j times
-        # the product of their signs; the walk closes, as every sign occurs twice
-        bond = np.where(sites == n - 1, float(boundary_sign), 1.0)
-        steps = bond * bond[(axis - sites - 1) % n]
-        d = np.cumprod(np.concatenate(([1.0], steps[:-1])))
-        # U = diag(Pi, -Pi) takes site j of either half to s - j, with sign +-d_j
-        half = (axis - sites) % n
-        image, signs = np.concatenate([half, half + n]), np.concatenate([d, -d])
-        waves = 0.5 * (waves + signs[:, None] * waves[image])
-        norm2 = (waves * waves).sum(axis=0)
-        larger = np.arange(0, len(e), 2) + (norm2[1::2] > norm2[::2])
-        e, waves = e[larger], waves[:, larger]
-    norm2 = (waves * waves).sum(axis=0)
-    kept = np.flatnonzero(norm2 > 0.25)
-    order = kept[np.argsort(e[kept], kind="stable")]
-    return e[order], waves[:, order] / np.sqrt(norm2[order]), 1 if axis is None else 2
-
-
 # The rows' Newton-Schulz step runs at the end of the jump that brings the
 # products since the last one to this many. At N = 100, one link,
 # lam = 1.5 and dt = 0.1, the rows' Gram matrix deviated from 1 by at most
@@ -263,15 +229,17 @@ class _BranchData:
     sector, and power is that of the sector determinant;
     k = X_up^T X_down is the real change of basis between their
     eigenvectors; filled is the number of filled up modes, the first rows
-    of k. The up branch comes from the bare ring's closed form
-    (_up_modes), and e_down and k from one eigh of the down branch in the
-    up eigenbasis, diag(e_up) + Z^T diag(delta) Z, so a field costs
-    O(N^2) and one eigh of the sector size, with no build_bdg and no 2N
-    matrix (see the module docstring). k gets one Newton-Schulz step: an
-    eigh basis is orthogonal only to about 1e-15, and that error, powered
-    over a long train, would set the drift of the echo. log_echo serves
-    the free series and every pulsed series of the field, and
-    loschmidt_effective forms its generator from the same fields.
+    of k. X_up is the bare ring's standing waves centred on the
+    reflection axis, the c-first columns that span the sector
+    (freefermion.ring_modes). e_down and k come from one eigh of the down
+    branch in the up eigenbasis, diag(e_up) + Z^T diag(delta) Z with Z
+    the link rows of X_up, so a field costs O(N^2) and one eigh of the
+    sector size, with no build_bdg and no 2N matrix (see the module
+    docstring). k gets one Newton-Schulz step: an eigh basis is
+    orthogonal only to about 1e-15, and that error, powered over a long
+    train, would set the drift of the echo. log_echo serves the free
+    series and every pulsed series of the field, and loschmidt_effective
+    forms its generator from the same fields.
 
     Raises SpecError for odd N, where the calibrated antiperiodic sector
     misses the oracle echo (by 8e-4 to 5e-2 at N = 3, 5, 7, one link,
@@ -287,7 +255,7 @@ class _BranchData:
     def __init__(self, spec: ChainSpec, boundary_sign: int = BOUNDARY_SIGN):
         if spec.N % 2:
             raise SpecError(f"the determinant echo needs even N, got N={spec.N}")
-        self.e_up, x_up, self.power = _up_modes(spec, boundary_sign)
+        self.e_up, x_up, self.power = freefermion.ring_modes(spec, boundary_sign)
         self.filled = freefermion.filled_count(self.e_up)
         # C_down - C_up is diagonal: -2 epsilon on the link sites of the
         # first half, +2 epsilon on those of the second. In the up
@@ -359,7 +327,9 @@ class _PulseTrain:
     per product, 2e-13 after 248 one-cycle jumps at N = 100, which moved
     log L by 1.6e-12. The ladder grows only as far as the largest jump
     asks, so a series whose rows reach M cycles holds at most
-    M.bit_length() matrices.
+    M.bit_length() matrices, and one whose jumps are all one cycle holds
+    none: the first jump of two cycles or more builds the one-cycle power
+    G^T, which the ladder only squares.
 
     K multiplies the rows, and the cycle, as one real product on their
     float64 view (_real_times); the rows are kept C-ordered so that the
@@ -371,8 +341,7 @@ class _PulseTrain:
     def __init__(self, data: _BranchData, dt: float):
         self.data, self.dt = data, dt
         self.up_phase = np.exp(1j * data.e_up * dt)[:, None]
-        cycle = _real_times(data.k.T, self.up_phase * data.k)
-        self.powers = [_unitarized(cycle * np.exp(1j * data.e_down * dt))]
+        self.powers = []
         self.rows = data.k[:data.filled].T.astype(complex, order="C")
         self.m, self.held, self.products = 0, (None, None), 0
 
@@ -385,6 +354,10 @@ class _PulseTrain:
         jump = m - self.m
         cycles, j = jump >> 1, 1
         while cycles:
+            if not self.powers:
+                # the one-cycle power is read only to square it
+                cycle = _real_times(self.data.k.T, self.up_phase * self.data.k)
+                self.powers.append(_unitarized(cycle * np.exp(1j * self.data.e_down * self.dt)))
             if j == len(self.powers):
                 self.powers.append(_unitarized(self.powers[-1] @ self.powers[-1]))
             if cycles & 1:
@@ -531,8 +504,10 @@ def loschmidt_effective(spec: ChainSpec, schedule: PulseSchedule,
 def coherence_offdiagonal(qubit: QubitSpec, d_complex: complex, t: float) -> complex:
     """rho_down_up(t) = c_down c_up^* e^{i omega0 t} D(t).
 
-    D(t) must come from the oracle path; the determinant path carries no
-    phase information.
+    Only the oracle returns the complex D(t) (oracle.amplitude_free and
+    oracle.amplitude_pulsed). The determinant and momentum routes keep
+    L = |D|^2: their determinants and mode overlaps carry the phase of D
+    on the way, and they drop it at the end.
     """
     return (qubit.c_down * np.conj(qubit.c_up)
             * complex(np.exp(1j * qubit.omega0 * float(t))) * d_complex)

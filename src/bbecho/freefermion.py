@@ -47,11 +47,13 @@ directly and serve as the reference. The echo module evaluates the
 occupied-subspace form in a symmetry sector of the ring: where a
 reflection maps the link set to itself, each branch is N x N and the
 echo is the square of a determinant of size N/2; where none does, it
-works over the whole 2N space. There the up branch comes from the bare
-ring's closed form, ``ring_modes``, and the down branch from one eigh in
-its eigenbasis. The effective echo works in
-the same sector decomposition of both branches, in the up eigenbasis,
-where the filled sea is the first basis vectors.
+works over the whole 2N space. The up branch in that sector comes from
+the bare ring's closed form, ``ring_modes``: its standing waves centred
+on the reflection axis, which are even or odd under the reflection, so
+that the sector is one column of each pair of equal energy. The down
+branch comes from one eigh in the up eigenbasis. The effective echo
+works in the same sector decomposition of both branches, in the up
+eigenbasis, where the filled sea is the first basis vectors.
 """
 
 from __future__ import annotations
@@ -158,40 +160,61 @@ def build_bdg(spec: ChainSpec, branch: str,
 
 
 def ring_modes(spec: ChainSpec,
-               boundary_sign: int = BOUNDARY_SIGN) -> tuple[np.ndarray, np.ndarray]:
-    """The bare ring's modes in closed form: the energies e and the 2N x 4Q
-    standing waves of C_up (Lieb, Schultz and Mattis, 1961).
+               boundary_sign: int = BOUNDARY_SIGN) -> tuple[np.ndarray, np.ndarray, int]:
+    """The up branch in the symmetry sector of the spec, from the bare
+    ring's closed form (Lieb, Schultz and Mattis, 1961): its ascending
+    energies e, its orthonormal modes x over the 2N rows,
+    C_up x = x diag(e), and the power of the sector determinant.
 
     The bare ring is translation invariant, so its modes sit on the
     sector's momenta q = pi k / N in [0, pi], k odd for boundary_sign -1
-    and even for +1, at e = +-2J |lam + e^{iq}|. With c_j = cos(q j),
-    s_j = sin(q j) over the sites j and theta = arg(-(lam + cos q) + i sin q),
-    C maps (c, 0), (0, s) onto each other and (s, 0), (0, c) likewise, and
-    each q gives the columns, u on the first N rows and v on the second,
+    and even for +1, at e = +-2J |lam + e^{iq}|. Take the standing waves
+    c_j = cos(q (j - s/2)), s_j = sin(q (j - s/2)) over the sites
+    j = 0..N-1, centred on the axis s of spec.reflection_axis, and
+    theta = arg(-(lam + cos q) + i sin q). C maps (c, 0), (0, s) onto each
+    other and (s, 0), (0, c) likewise, and each q gives the columns, u on
+    the first N rows and v on the second,
         +E: ( cos(theta/2) c, -sin(theta/2) s),  ( cos(theta/2) s, sin(theta/2) c),
         -E: ( sin(theta/2) c,  cos(theta/2) s),  (-sin(theta/2) s, cos(theta/2) c),
-    in pairs of equal energy. The columns are orthonormal, except at q = 0
-    and pi, where s = 0 and one column of each pair is zero. The spec's
-    links and epsilon do not enter: this is the up branch alone.
+    in pairs of equal energy, each normalized by sqrt(2/N), or sqrt(1/N)
+    at q = 0 and pi, where s = 0 or c = 0 and one column of each pair
+    vanishes and is dropped.
+
+    Under j -> s - j (mod N), c is even and s odd: a wave that wraps
+    round the ring picks up e^{iqN}, which is the sector sign, so the
+    sign of the boundary bond is built in. The reflection, taken with
+    the opposite sign on the second half of the rows, commutes with
+    both branches, and the c-first columns are its sector +1: one of
+    each pair, N columns, kept with the power 2 (see the echo module).
+    With no axis every column that does not vanish is kept, 2N of them,
+    with the power 1. The spec's epsilon does not enter: this is the up
+    branch alone.
     """
     _check_sector(boundary_sign)
-    n = spec.N
+    n, axis = spec.N, spec.reflection_axis
     k = np.arange((1 - boundary_sign) // 2, n + 1, 2)
-    # e^{i pi r / N}, with e^{i pi} exactly -1, so that q = pi pairs nothing
-    # and its energy is exact
-    phase = np.exp(1j * np.pi / n * np.arange(2 * n))
-    phase[n] = -1.0
-    x, y = spec.lam + phase[k].real, phase[k].imag
-    # (cos(theta/2), sin(theta/2)) at each q, times the norm of the waves,
-    # as the float64 view of one complex number, and e^{+-iqj} at every site, whose views
-    # are (c, s) and (c, -s); 1j e^{+-iqj} are (-s, c) and (s, c)
-    scale = np.sqrt(np.where((k == 0) | (k == n), 1.0, 2.0) / n)
-    cs = (scale * np.exp(0.5j * np.arctan2(y, -x))).view(np.float64).reshape(-1, 2)
-    z = phase[np.arange(n)[:, None, None] * (k[:, None] * [1, -1]) % (2 * n)]
-    u = (z * cs).view(np.float64)
-    v = (z * (1j * cs[:, ::-1])).view(np.float64)
-    e = 2.0 * spec.J * np.hypot(x, y)
-    return np.outer(e, [1.0, 1.0, -1.0, -1.0]).ravel(), np.concatenate([u, v]).reshape(2 * n, -1)
+    # e^{i pi r / 2N}, exact at the quarter turns, so that q = pi pairs
+    # nothing, its energy is exact and its waves vanish exactly
+    phase = np.exp(0.5j * np.pi / n * np.arange(4 * n))
+    phase[n::n] = 1j, -1.0, -1j
+    x, y = spec.lam + phase[2 * k].real, phase[2 * k].imag
+    # (cos(theta/2), sin(theta/2)) at each q times the closed form's scale,
+    # as one complex number: the float64 views of c and i s times it are
+    # the u and v of the +E column beside those of the -E one
+    half = (np.sqrt(np.where((k == 0) | (k == n), 1.0, 2.0) / n)
+            * np.exp(0.5j * np.arctan2(y, -x)))[:, None]
+    # e^{iq(j - s/2)} at every site, whose parts are (c, s), centred on
+    # s = 0 where there is no axis; there -i times it adds the waves
+    # (s, -c), whose c-first columns are the other column of each pair
+    z = phase[(2 * np.arange(n)[:, None] - (axis or 0)) * k % (4 * n)][..., None]
+    if axis is None:
+        z = z * [1.0, -1j]
+    waves = np.concatenate([(z.real * half).view(np.float64),
+                            (z.imag * (1j * half)).view(np.float64)]).reshape(2 * n, -1)
+    e = np.tile(np.outer(2.0 * spec.J * np.hypot(x, y), [1.0, -1.0]), z.shape[-1]).ravel()
+    kept = np.flatnonzero((waves * waves).sum(axis=0) > 0.5)
+    order = kept[np.argsort(e[kept], kind="stable")]
+    return e[order], waves[:, order], 1 if axis is None else 2
 
 
 def diagonalize(m: BdGMatrix) -> SpectralDecomp:

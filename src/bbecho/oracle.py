@@ -45,8 +45,9 @@ for a parity block and 1024 for the full matrix. ``ground_state`` still
 takes the full matrix, and tests compare the sector amplitudes against a
 full-matrix replay.
 
-This is also the only source of the complex amplitude D(t); the
-determinant path yields its magnitude squared only.
+This is also the only route that returns the complex amplitude D(t);
+the determinant and momentum routes keep |D|^2, dropping at the end the
+phase that their determinants carry.
 
 The two branch decompositions of the last spec are kept for the next
 call, so the free and pulsed amplitudes of one spec share one set of

@@ -215,7 +215,7 @@ class TestReflectionSector:
     @pytest.mark.parametrize("n, links", _AXES.values(), ids=_AXES.keys())
     def test_reflection_commutes_with_both_branches(self, n, links, boundary_sign):
         spec = ChainSpec(N=n, lam=0.7, epsilon=0.25, links=links)
-        _, x, power = echo._up_modes(spec, boundary_sign)
+        _, x, power = freefermion.ring_modes(spec, boundary_sign)
         assert power == 2 and x.shape == (2 * n, n)
         np.testing.assert_allclose(x.T @ x, np.eye(n), atol=1e-13)
         projector = x @ x.T
@@ -233,7 +233,7 @@ class TestReflectionSector:
         n, links = _NO_AXIS
         spec = ChainSpec(N=n, lam=0.8, epsilon=0.25, links=links)
         assert spec.reflection_axis is None
-        _, x, power = echo._up_modes(spec, -1)
+        _, x, power = freefermion.ring_modes(spec, -1)
         assert power == 1 and x.shape == (2 * n, 2 * n)
         np.testing.assert_allclose(x @ x.T, np.eye(2 * n), atol=1e-13)
         data = echo._BranchData(spec)
@@ -259,7 +259,7 @@ class TestUpModesClosedForm:
     def test_diagonalizes_the_dense_sector_matrix(self, links, sizes, boundary_sign):
         for n, lam in itertools.product(sizes, (0.0, 0.3, 1.0, 1.7)):
             spec = ChainSpec(N=n, lam=lam, epsilon=0.25, links=links)
-            e, x, power = echo._up_modes(spec, boundary_sign)
+            e, x, power = freefermion.ring_modes(spec, boundary_sign)
             c = build_bdg(spec, "up", boundary_sign).C
             dim = n if power == 2 else 2 * n
             assert power == (1 if links == _NO_AXIS[1] else 2)
@@ -276,7 +276,7 @@ class TestUpModesClosedForm:
         # at lam = 1 the +1 sector holds q = pi, where 2J |lam + e^{iq}| is
         # exactly zero; the calibration counts on this refusal
         spec = ChainSpec(N=4, lam=1.0, epsilon=0.25, links=(1,))
-        e, _, _ = echo._up_modes(spec, +1)
+        e, _, _ = freefermion.ring_modes(spec, +1)
         assert np.min(np.abs(e)) == 0.0
         with pytest.raises(freefermion.DegenerateFillingError):
             echo._BranchData(spec, +1)
@@ -449,10 +449,20 @@ class TestCycleJumps:
         assert rows <= -(-products // 4)
 
     def test_one_cycle_jumps_pass_through_the_held_factor(self, monkeypatch):
-        # at dt = 1.0 on a grid of step 1.0 every jump is one cycle
+        # at dt = 1.0 on a grid of step 1.0 every jump is one cycle, so the
+        # train builds no power, not even the one-cycle power
+        trains = []
+
+        class Recording(echo._PulseTrain):
+            def __init__(self, *args):
+                super().__init__(*args)
+                trains.append(self)
+
+        monkeypatch.setattr(echo, "_PulseTrain", Recording)
         _, products, reads = self._series_cli_steps(monkeypatch, 1.0)
         assert products == 25
         assert reads == []
+        assert [len(train.powers) for train in trains] == [0]
 
     @pytest.mark.parametrize("dt", [0.1, 1.0])
     def test_series_cli_train_matches_the_replay(self, dt):
@@ -488,12 +498,12 @@ class TestRealProduct:
                 self._assert_close(train._k_rows(x), k @ rows)
 
         assert train.rows.flags.c_contiguous
-        cycle = k.T @ (np.exp(1j * data.e_up * dt)[:, None] * k)
-        self._assert_close(train.powers[0], echo._unitarized(
-            cycle * np.exp(1j * data.e_down * dt)))
         check()
         train.advance(11)  # three set bits: three jumps up the ladder
         check()
+        cycle = k.T @ (np.exp(1j * data.e_up * dt)[:, None] * k)
+        self._assert_close(train.powers[0], echo._unitarized(
+            cycle * np.exp(1j * data.e_down * dt)))
         train.rows = np.asfortranarray(train.rows)
         assert not train.rows.flags.c_contiguous
         check()
